@@ -37,7 +37,6 @@ from .groups import (
     from_presentation,
     height_sequence,
     is_isomorphic,
-    orbit_brute_force,
     pointed_is_isomorphic,
     tensor_z2,
 )

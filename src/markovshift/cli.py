@@ -3,8 +3,9 @@
 Subcommands: validate, invariant, coe, flow, realize, positivity,
 periodic.  Exit codes: 0 for success or a positive decision, 1 for a
 negative decision, 2 for invalid input, 3 when a decision procedure hit
-its search bound.  Reports are deterministic; ``--json`` switches to the
-machine-readable form used by golden tests.
+its search bound, 4 for an I/O or internal error.  Reports are
+deterministic; ``--json`` switches to the machine-readable form used by
+golden tests.
 """
 
 from __future__ import annotations
@@ -46,6 +47,10 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INVALID = 2
 EXIT_UNDECIDED = 3
+EXIT_ERROR = 4
+
+# the distinguished element always lives in the presentation by id - A^t
+_CONVENTION = {"bowen_franks_presentation": "transpose"}
 
 
 class _InvalidInput(MarkovShiftError):
@@ -91,11 +96,11 @@ def _cmd_validate(args) -> tuple[dict, int]:
 def _cmd_invariant(args) -> tuple[dict, int]:
     matrix, echo = _load_matrix(args.matrix)
     inv = invariant_triple(matrix)
-    abelianized = full_group_abelianization(matrix)
+    abelianized = full_group_abelianization(inv)
     report = {
         "command": "invariant",
         "inputs": {"matrix": echo},
-        "convention": {"bowen_franks_presentation": args.transpose_convention},
+        "convention": _CONVENTION,
         "invariant": inv.summary(),
         "k_theory": {
             "k0_group": inv.group.describe(),
@@ -110,14 +115,14 @@ def _cmd_invariant(args) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
-def _decision_report(name, args, decision) -> dict:
+def _decision_report(name, decision) -> dict:
     matrix_a, echo_a = decision["loaded_a"]
     matrix_b, echo_b = decision["loaded_b"]
     outcome = decision["outcome"]
     return {
         "command": name,
         "inputs": {"matrix_a": echo_a, "matrix_b": echo_b},
-        "convention": {"bowen_franks_presentation": args.transpose_convention},
+        "convention": _CONVENTION,
         "equivalent": outcome.equivalent,
         "reason": outcome.reason,
         "certificate": outcome.certificate(),
@@ -129,7 +134,7 @@ def _cmd_coe(args) -> tuple[dict, int]:
     loaded_b = _load_matrix(args.matrix_b)
     outcome = decide_coe(loaded_a[0], loaded_b[0], torsion_bound=args.pointed_bound)
     report = _decision_report(
-        "coe", args, {"loaded_a": loaded_a, "loaded_b": loaded_b, "outcome": outcome}
+        "coe", {"loaded_a": loaded_a, "loaded_b": loaded_b, "outcome": outcome}
     )
     return report, EXIT_OK if outcome.equivalent else EXIT_NEGATIVE
 
@@ -139,7 +144,7 @@ def _cmd_flow(args) -> tuple[dict, int]:
     loaded_b = _load_matrix(args.matrix_b)
     outcome = decide_flow(loaded_a[0], loaded_b[0])
     report = _decision_report(
-        "flow", args, {"loaded_a": loaded_a, "loaded_b": loaded_b, "outcome": outcome}
+        "flow", {"loaded_a": loaded_a, "loaded_b": loaded_b, "outcome": outcome}
     )
     return report, EXIT_OK if outcome.equivalent else EXIT_NEGATIVE
 
@@ -341,12 +346,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="torsion size limit for the pointed-isomorphism search (default 512)",
     )
-    common.add_argument(
-        "--transpose-convention",
-        default="transpose",
-        metavar="NAME",
-        help="label echoed into reports; the Bowen-Franks presentation always uses id - A^t",
-    )
     parser = argparse.ArgumentParser(
         prog="markovshift",
         description="Invariants, equivalence decisions and realizations for topological Markov shifts",
@@ -406,6 +405,12 @@ def main(argv=None) -> int:
     except UndecidedError as exc:
         report = {"command": args.subcommand, "error": {"kind": "undecided", "message": str(exc)}}
         code = EXIT_UNDECIDED
+    except OSError as exc:
+        report = {"command": args.subcommand, "error": {"kind": "io_error", "message": str(exc)}}
+        code = EXIT_ERROR
+    except VerificationError as exc:
+        report = {"command": args.subcommand, "error": {"kind": "internal_error", "message": str(exc)}}
+        code = EXIT_ERROR
     if args.timing:
         report["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
     _emit(report, args.json)

@@ -5,15 +5,13 @@ every mi >= 2; this canonical shape is a complete isomorphism invariant.
 Elements are coordinate tuples, torsion coordinates reduced modulo their
 factor.  The pointed decision (is there an isomorphism carrying one
 distinguished element to the other?) works through prime-power heights,
-which classify automorphism orbits in finite abelian p-groups; a closure
-oracle over elementary automorphisms cross-checks it on small groups.
+which classify automorphism orbits in finite abelian p-groups.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
@@ -285,35 +283,45 @@ def height_sequence(p: int, factors: Sequence[int], coords: Sequence[int]):
         exps.append(f[p])
     if len(coords) != len(factors):
         raise ShapeError("coordinate count does not match factor count")
-    x = tuple(c % m for c, m in zip(coords, factors))
+    return _heights(p, exps, [c % m for c, m in zip(coords, factors)])
+
+
+def _heights(p: int, exps: Sequence[int], coords: Sequence[int]):
+    """Height sequence of coords in the sum of Z/p^e over exps, coords reduced.
+
+    A nonzero coordinate of valuation v in Z/p^e contributes v + k to the
+    height of p^k * x while v + k < e and vanishes after that.
+    """
+    live = [(_p_valuation(p, c), e) for c, e in zip(coords, exps) if c != 0]
     seq = []
-    while True:
-        heights = [_p_valuation(p, c) for c in x if c != 0]
-        if not heights:
-            seq.append(INFINITE)
-            return tuple(seq)
-        seq.append(min(heights))
-        x = tuple((p * c) % m for c, m in zip(x, factors))
+    k = 0
+    while live:
+        seq.append(min(v for v, _ in live) + k)
+        k += 1
+        live = [(v, e) for v, e in live if v + k < e]
+    seq.append(INFINITE)
+    return tuple(seq)
 
 
-def _primary_split(
-    factors: Sequence[int], coords: Sequence[int]
-) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Split a finite group and an element into p-primary components."""
-    split: dict[int, tuple[list[int], list[int]]] = {}
-    for m, c in zip(factors, coords):
+def _primary_parts(factors: Sequence[int]):
+    """For each prime p, the position and p-exponent of every factor p divides.
+
+    Factorizes each factor once; the parts are shared by every element of
+    the group whose orbit profile is taken.
+    """
+    parts: dict[int, list[tuple[int, int]]] = {}
+    for k, m in enumerate(factors):
         for p, e in _factorize(m).items():
-            q = p**e
-            fs, cs = split.setdefault(p, ([], []))
-            fs.append(q)
-            cs.append(c % q)
-    return {p: (tuple(fs), tuple(cs)) for p, (fs, cs) in split.items()}
+            parts.setdefault(p, []).append((k, e))
+    return tuple((p, tuple(ks)) for p, ks in sorted(parts.items()))
 
 
-def _orbit_profile(factors: Sequence[int], coords: Sequence[int]):
+def _orbit_profile(parts, coords: Sequence[int]):
     """Automorphism-orbit invariant: per-prime height sequences."""
-    split = _primary_split(factors, coords)
-    return tuple((p, height_sequence(p, fs, cs)) for p, (fs, cs) in sorted(split.items()))
+    return tuple(
+        (p, _heights(p, [e for _, e in ks], [coords[k] % p**e for k, e in ks]))
+        for p, ks in parts
+    )
 
 
 def _free_content(coords: Sequence[int]) -> int:
@@ -335,15 +343,14 @@ def pointed_is_isomorphic(a: PointedGroup, b: PointedGroup, torsion_bound: int =
     g = a.group
     factors = g.torsion_factors
     ta, tb = a.point.torsion_coords, b.point.torsion_coords
-    if g.free_rank == 0:
-        return _orbit_profile(factors, ta) == _orbit_profile(factors, tb)
     d = _free_content(a.point.free_coords)
     if d != _free_content(b.point.free_coords):
         return False
-    if d == 0:
-        return _orbit_profile(factors, ta) == _orbit_profile(factors, tb)
     if not factors:
         return True
+    parts = _primary_parts(factors)
+    if d == 0:
+        return _orbit_profile(parts, ta) == _orbit_profile(parts, tb)
     size = math.prod(factors)
     if size > torsion_bound:
         raise UndecidedError(
@@ -351,103 +358,10 @@ def pointed_is_isomorphic(a: PointedGroup, b: PointedGroup, torsion_bound: int =
         )
     # y runs over the automorphism orbit of ta; accept if some y lands in
     # tb + d*T, i.e. matches tb componentwise modulo gcd(d, mi)
-    target = _orbit_profile(factors, ta)
+    target = _orbit_profile(parts, ta)
     mods = tuple(math.gcd(d, m) for m in factors)
     for y in product(*(range(m) for m in factors)):
         if all((yc - tc) % md == 0 for yc, tc, md in zip(y, tb, mods)):
-            if _orbit_profile(factors, y) == target:
+            if _orbit_profile(parts, y) == target:
                 return True
     return False
-
-
-# ---------------------------------------------------------------------------
-# exhaustive orbit oracle for finite groups
-
-
-@lru_cache(maxsize=None)
-def _elementary_automorphisms(factors: tuple[int, ...]):
-    """Generating family of Aut(Z/m1 x ... x Z/mk) as coordinate maps.
-
-    Emits every unit scaling of a single coordinate, every transvection
-    x_j += c * x_i that is well defined (mj must divide c * mi), and every
-    swap of equal factors.  Each map is trivially invertible within the
-    family, so closures under it are genuine orbit subsets.
-    """
-    gens = []
-    k = len(factors)
-    for i, m in enumerate(factors):
-        for unit in range(2, m):
-            if math.gcd(unit, m) == 1:
-                gens.append(("scale", i, unit))
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            mi, mj = factors[i], factors[j]
-            step = mj // math.gcd(mi, mj)
-            for c in range(step, mj, step):
-                assert (c * mi) % mj == 0
-                gens.append(("shear", i, j, c))
-    for i in range(k):
-        for j in range(i + 1, k):
-            if factors[i] == factors[j]:
-                gens.append(("swap", i, j))
-    return tuple(gens)
-
-
-def _apply_generator(gen, coords: tuple[int, ...], factors: tuple[int, ...]) -> tuple[int, ...]:
-    kind = gen[0]
-    out = list(coords)
-    if kind == "scale":
-        _, i, unit = gen
-        out[i] = (unit * out[i]) % factors[i]
-    elif kind == "shear":
-        _, i, j, c = gen
-        out[j] = (out[j] + c * coords[i]) % factors[j]
-    else:
-        _, i, j = gen
-        out[i], out[j] = out[j], out[i]
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _aut_orbit(factors: tuple[int, ...], start: tuple[int, ...]) -> frozenset:
-    """Orbit of an element under the full automorphism group.
-
-    Computed as the closure of the starting element under the elementary
-    automorphism family; every map applied is an automorphism, so the
-    result never overshoots the true orbit.
-    """
-    gens = _elementary_automorphisms(factors)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for gen in gens:
-                y = _apply_generator(gen, x, factors)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return frozenset(seen)
-
-
-def orbit_brute_force(a: PointedGroup, b: PointedGroup, bound: int = 512) -> bool:
-    """Exhaustive pointed-isomorphism oracle for small finite groups.
-
-    Enumerates the full automorphism orbit of a.point and tests whether
-    b.point lies in it.  Only finite groups of order at most ``bound``
-    are accepted.
-    """
-    for pg in (a, b):
-        if not pg.group.is_finite:
-            raise UnsupportedError("orbit_brute_force requires finite groups")
-        order = pg.group.order()
-        assert order is not None
-        if order > bound:
-            raise UnsupportedError(f"group of order {order} exceeds the brute-force bound {bound}")
-    if not is_isomorphic(a.group, b.group):
-        return False
-    orbit = _aut_orbit(a.group.torsion_factors, a.point.torsion_coords)
-    return b.point.torsion_coords in orbit

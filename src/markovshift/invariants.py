@@ -23,7 +23,7 @@ from .groups import (
     pointed_is_isomorphic,
     tensor_z2,
 )
-from .intmat import determinant, kernel_basis, smith_normal_form
+from .intmat import determinant
 from .shifts import (
     NonNegMatrix,
     identity_minus,
@@ -44,18 +44,20 @@ class MarkovInvariant:
     point: GroupElement
     det_value: int
     sign: int
-    k1_rank: int
 
     def __post_init__(self):
         if self.sign != _sign(self.det_value):
             raise VerificationError("stored sign disagrees with the determinant")
         if (self.sign == 0) != (not self.group.is_finite):
             raise VerificationError("determinant vanishes exactly for infinite groups")
-        if self.k1_rank != self.group.free_rank:
-            raise VerificationError("kernel rank must equal the free rank of the group")
         order = self.group.order()
         if order is not None and order != abs(self.det_value):
             raise VerificationError("finite group order must equal |det(id - A)|")
+
+    @property
+    def k1_rank(self) -> int:
+        """Rank of ker(id - A^t), which is the free rank of the group it presents."""
+        return self.group.free_rank
 
     @property
     def pointed(self) -> PointedGroup:
@@ -83,14 +85,13 @@ def _require_classifiable(a: NonNegMatrix) -> None:
         )
 
 
-def bowen_franks(a: NonNegMatrix, use_transpose: bool = True) -> PointedGroup:
-    """Bowen-Franks group Z^N / (id - M) Z^N pointed at the all-ones class.
+def bowen_franks(a: NonNegMatrix) -> PointedGroup:
+    """Bowen-Franks group Z^N / (id - A^t) Z^N pointed at the all-ones class.
 
-    With ``use_transpose`` the relation matrix is id - A^t, the convention
-    under which the distinguished point is meaningful; the plain group is
-    abstractly the same either way.
+    The transpose is the convention under which the distinguished point is
+    meaningful; the plain group is abstractly the same for id - A.
     """
-    pres = from_presentation(identity_minus(a, transpose=use_transpose))
+    pres = from_presentation(identity_minus(a, transpose=True))
     point = pres.element_from_vector((1,) * a.size)
     return PointedGroup(pres.group, point)
 
@@ -98,32 +99,38 @@ def bowen_franks(a: NonNegMatrix, use_transpose: bool = True) -> PointedGroup:
 def invariant_triple(a: NonNegMatrix) -> MarkovInvariant:
     """Assemble the full invariant of an irreducible, non-permutation matrix."""
     _require_classifiable(a)
-    pointed = bowen_franks(a, use_transpose=True)
+    pointed = bowen_franks(a)
     det = determinant(identity_minus(a))
-    snf = smith_normal_form(identity_minus(a, transpose=True))
-    k1_rank = a.size - snf.rank
     return MarkovInvariant(
         group=pointed.group,
         point=pointed.point,
         det_value=det,
         sign=_sign(det),
-        k1_rank=k1_rank,
     )
 
 
-def k_groups(a: NonNegMatrix) -> tuple[PointedGroup, int]:
-    """K-theory data: K0 as the pointed Bowen-Franks group, K1 as a free rank."""
-    pointed = bowen_franks(a, use_transpose=True)
-    rank = len(kernel_basis(identity_minus(a, transpose=True)))
-    return pointed, rank
+def _as_invariant(a) -> MarkovInvariant:
+    if isinstance(a, MarkovInvariant):
+        return a
+    return invariant_triple(a)
 
 
-def full_group_abelianization(a: NonNegMatrix) -> FgAbelianGroup:
-    """Abelianized topological full group: (BF(A^t) tensor Z/2) + Z^k1."""
-    pointed = bowen_franks(a, use_transpose=True)
-    halved = tensor_z2(pointed.group)
-    k1_rank = pointed.group.free_rank
-    return FgAbelianGroup(k1_rank, halved.torsion_factors)
+def k_groups(a) -> tuple[PointedGroup, int]:
+    """K-theory data: K0 as the pointed Bowen-Franks group, K1 as a free rank.
+
+    Accepts a matrix or a precomputed invariant.
+    """
+    inv = _as_invariant(a)
+    return inv.pointed, inv.k1_rank
+
+
+def full_group_abelianization(a) -> FgAbelianGroup:
+    """Abelianized topological full group: (BF(A^t) tensor Z/2) + Z^k1.
+
+    Accepts a matrix or a precomputed invariant.
+    """
+    inv = _as_invariant(a)
+    return FgAbelianGroup(inv.k1_rank, tensor_z2(inv.group).torsion_factors)
 
 
 @dataclass(frozen=True)
@@ -145,12 +152,6 @@ class EquivalenceDecision:
             "right": self.right.summary(),
             "checks": {name: ok for name, ok in self.checks},
         }
-
-
-def _as_invariant(a) -> MarkovInvariant:
-    if isinstance(a, MarkovInvariant):
-        return a
-    return invariant_triple(a)
 
 
 def decide_coe(a, b, torsion_bound: int = 512) -> EquivalenceDecision:

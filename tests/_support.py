@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
+import math
 import random
+from functools import lru_cache
 from itertools import product
 
-from markovshift import IntMatrix, NonNegMatrix, ZeroOneMatrix, is_irreducible
+from markovshift import (
+    IntMatrix,
+    NonNegMatrix,
+    PointedGroup,
+    UnsupportedError,
+    ZeroOneMatrix,
+    is_irreducible,
+    is_isomorphic,
+)
 
 
 def random_int_matrix(rng: random.Random, rows: int, cols: int, bound: int = 9) -> IntMatrix:
@@ -32,6 +42,19 @@ def cofactor_determinant(m: IntMatrix) -> int:
         return total
 
     return det(rows)
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Wrap module.name so that each call appends its first argument to the returned list."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 def random_zero_one(rng: random.Random, n: int, density: float = 0.5) -> ZeroOneMatrix:
@@ -141,3 +164,96 @@ def apply_literal_automorphism(images, coords, factors):
         sum(c * img[i] for c, img in zip(coords, images)) % factors[i]
         for i in range(len(factors))
     )
+
+
+# ---------------------------------------------------------------------------
+# exhaustive orbit oracle for finite groups
+
+
+@lru_cache(maxsize=None)
+def elementary_automorphisms(factors: tuple[int, ...]):
+    """Generating family of Aut(Z/m1 x ... x Z/mk) as coordinate maps.
+
+    Emits every unit scaling of a single coordinate, every transvection
+    x_j += c * x_i that is well defined (mj must divide c * mi), and every
+    swap of equal factors.  Each map is trivially invertible within the
+    family, so closures under it are genuine orbit subsets.
+    """
+    gens = []
+    k = len(factors)
+    for i, m in enumerate(factors):
+        for unit in range(2, m):
+            if math.gcd(unit, m) == 1:
+                gens.append(("scale", i, unit))
+    for i in range(k):
+        for j in range(k):
+            if i == j:
+                continue
+            mi, mj = factors[i], factors[j]
+            step = mj // math.gcd(mi, mj)
+            for c in range(step, mj, step):
+                assert (c * mi) % mj == 0
+                gens.append(("shear", i, j, c))
+    for i in range(k):
+        for j in range(i + 1, k):
+            if factors[i] == factors[j]:
+                gens.append(("swap", i, j))
+    return tuple(gens)
+
+
+def apply_generator(gen, coords: tuple[int, ...], factors: tuple[int, ...]) -> tuple[int, ...]:
+    kind = gen[0]
+    out = list(coords)
+    if kind == "scale":
+        _, i, unit = gen
+        out[i] = (unit * out[i]) % factors[i]
+    elif kind == "shear":
+        _, i, j, c = gen
+        out[j] = (out[j] + c * coords[i]) % factors[j]
+    else:
+        _, i, j = gen
+        out[i], out[j] = out[j], out[i]
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def aut_orbit(factors: tuple[int, ...], start: tuple[int, ...]) -> frozenset:
+    """Orbit of an element under the full automorphism group.
+
+    Computed as the closure of the starting element under the elementary
+    automorphism family; every map applied is an automorphism, so the
+    result never overshoots the true orbit.
+    """
+    gens = elementary_automorphisms(factors)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for gen in gens:
+                y = apply_generator(gen, x, factors)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return frozenset(seen)
+
+
+def orbit_brute_force(a: PointedGroup, b: PointedGroup, bound: int = 512) -> bool:
+    """Exhaustive pointed-isomorphism oracle for small finite groups.
+
+    Enumerates the full automorphism orbit of a.point and tests whether
+    b.point lies in it.  Only finite groups of order at most ``bound``
+    are accepted.
+    """
+    for pg in (a, b):
+        if not pg.group.is_finite:
+            raise UnsupportedError("orbit_brute_force requires finite groups")
+        order = pg.group.order()
+        assert order is not None
+        if order > bound:
+            raise UnsupportedError(f"group of order {order} exceeds the brute-force bound {bound}")
+    if not is_isomorphic(a.group, b.group):
+        return False
+    orbit = aut_orbit(a.group.torsion_factors, a.point.torsion_coords)
+    return b.point.torsion_coords in orbit

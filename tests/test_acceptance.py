@@ -28,7 +28,6 @@ from markovshift import (
     identity_minus,
     invariant_triple,
     is_positive_class,
-    orbit_brute_force,
     orbit_sum,
     periodic_orbit_words,
     pointed_is_isomorphic,
@@ -36,9 +35,16 @@ from markovshift import (
     smith_normal_form,
 )
 from markovshift.cohomology import LocallyConstantFn
-from markovshift.groups import _aut_orbit, _orbit_profile
+from markovshift.groups import _orbit_profile, _primary_parts
 
-from _support import all_shapes_up_to, random_int_matrix, random_nonneg, random_zero_one
+from _support import (
+    all_shapes_up_to,
+    aut_orbit,
+    orbit_brute_force,
+    random_int_matrix,
+    random_nonneg,
+    random_zero_one,
+)
 
 FULL2 = ZeroOneMatrix.from_rows([[1, 1], [1, 1]])
 GOLDEN = ZeroOneMatrix.from_rows([[1, 1], [1, 0]])
@@ -141,13 +147,14 @@ def test_criterion_04_pointed_decision_vs_brute_force():
             # sandwich certificate: the closure orbit sits inside the true
             # orbit, which sits inside the equal-height class; equality of
             # the two ends proves both computations exact on this group
+            parts = _primary_parts(factors)
             by_profile: dict[object, set] = {}
             for x in elements:
-                key = _orbit_profile(factors, x.torsion_coords)
+                key = _orbit_profile(parts, x.torsion_coords)
                 by_profile.setdefault(key, set()).add(x.torsion_coords)
             for x in elements:
-                closure = _aut_orbit(factors, x.torsion_coords)
-                height_class = by_profile[_orbit_profile(factors, x.torsion_coords)]
+                closure = aut_orbit(factors, x.torsion_coords)
+                height_class = by_profile[_orbit_profile(parts, x.torsion_coords)]
                 assert closure == frozenset(height_class)
             pointed_elements.extend(PointedGroup(group, x) for x in elements)
         for a in pointed_elements:

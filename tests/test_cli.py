@@ -4,6 +4,13 @@ import sys
 
 import pytest
 
+import markovshift.cli
+import markovshift.groups
+from markovshift import VerificationError
+from markovshift.cli import main
+
+from _support import count_calls
+
 FULL2 = "2\n1 1\n1 1\n"
 FULL3 = "3\n1 1 1\n1 1 1\n1 1 1\n"
 GOLDEN = "2\n1 1\n1 0\n"
@@ -76,6 +83,13 @@ class TestInvariantCommand:
         assert report["k_theory"]["k1_rank"] == 0
         assert report["full_group_abelianization"] == "Z/2"
         assert report["inputs"]["matrix"]["rows"] == [[1, 1, 1]] * 3
+        assert report["convention"] == {"bowen_franks_presentation": "transpose"}
+
+    def test_one_smith_form(self, corpus, monkeypatch, capsys):
+        calls = count_calls(monkeypatch, markovshift.groups, "smith_normal_form")
+        assert main(["invariant", corpus["full3"], "--json"]) == 0
+        assert len(calls) == 1
+        assert json.loads(capsys.readouterr().out)["k_theory"]["k1_rank"] == 0
 
     def test_golden_mean(self, corpus):
         report = json.loads(run_cli("invariant", corpus["golden"], "--json").stdout)
@@ -219,14 +233,37 @@ class TestPeriodicCommand:
         assert report["periods"][0]["orbit_representatives"] == ["1", "2"]
 
 
-class TestGlobalFlags:
-    def test_transpose_convention_echoed(self, corpus):
-        out = run_cli(
-            "invariant", corpus["full3"], "--json", "--transpose-convention", "K0-of-algebra"
-        )
+class TestErrorReports:
+    def test_missing_file_exit_4(self, corpus, tmp_path):
+        missing = str(tmp_path / "missing.txt")
+        out = run_cli("coe", missing, corpus["full2"], "--json")
+        assert out.returncode == 4
+        assert out.stderr == ""
         report = json.loads(out.stdout)
-        assert report["convention"]["bowen_franks_presentation"] == "K0-of-algebra"
+        assert report["command"] == "coe"
+        assert report["error"]["kind"] == "io_error"
+        assert missing in report["error"]["message"]
 
+    def test_missing_file_text_report(self, tmp_path):
+        out = run_cli("invariant", str(tmp_path / "missing.txt"))
+        assert out.returncode == 4
+        assert out.stderr == ""
+        assert out.stdout.startswith("error (io_error):")
+
+    def test_verification_failure_exit_4(self, monkeypatch, capsys):
+        def failing(*args, **kwargs):
+            raise VerificationError("realized matrix has the wrong group or sign")
+
+        monkeypatch.setattr(markovshift.cli, "realize", failing)
+        assert main(["realize", "--torsion", "4", "--point", "1", "--sign", "-1", "--json"]) == 4
+        report = json.loads(capsys.readouterr().out)
+        assert report == {
+            "command": "realize",
+            "error": {"kind": "internal_error", "message": "realized matrix has the wrong group or sign"},
+        }
+
+
+class TestGlobalFlags:
     def test_timing_is_opt_in(self, corpus):
         plain = json.loads(run_cli("invariant", corpus["full3"], "--json").stdout)
         timed = json.loads(run_cli("invariant", corpus["full3"], "--json", "--timing").stdout)

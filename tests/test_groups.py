@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+import markovshift.groups
 from markovshift import (
     DomainError,
     FgAbelianGroup,
@@ -15,17 +16,21 @@ from markovshift import (
     from_presentation,
     height_sequence,
     is_isomorphic,
-    orbit_brute_force,
     pointed_is_isomorphic,
     solve_linear,
     tensor_z2,
 )
-from markovshift.groups import _aut_orbit, _orbit_profile
+from markovshift.groups import _orbit_profile, _primary_parts
 
 from _support import (
     all_shapes_up_to,
+    apply_generator,
     apply_literal_automorphism,
+    aut_orbit,
+    count_calls,
+    elementary_automorphisms,
     literal_automorphism_tuples,
+    orbit_brute_force,
     random_int_matrix,
 )
 
@@ -176,12 +181,10 @@ class TestPointedIsomorphic:
         # any hom free -> torsion, automorphism of T); sample them
         # explicitly and demand the decision recognizes every image
         rng = random.Random(777)
-        from markovshift.groups import _apply_generator, _elementary_automorphisms
-
         cases = [(1, (4,)), (1, (2, 4)), (2, (6,)), (2, (2, 2)), (1, (9,))]
         for rank, factors in cases:
             g = FgAbelianGroup(rank, factors)
-            gens = _elementary_automorphisms(factors)
+            gens = elementary_automorphisms(factors)
             for _ in range(25):
                 free = tuple(rng.randint(-4, 4) for _ in range(rank))
                 torsion = tuple(rng.randint(0, m - 1) for m in factors)
@@ -211,7 +214,7 @@ class TestPointedIsomorphic:
                 new_torsion = torsion
                 for _ in range(rng.randint(0, 6)):
                     if gens:
-                        new_torsion = _apply_generator(rng.choice(gens), new_torsion, factors)
+                        new_torsion = apply_generator(rng.choice(gens), new_torsion, factors)
                 moved = g.element(
                     new_free,
                     tuple((s + t) % m for s, t, m in zip(shift, new_torsion, factors)),
@@ -246,6 +249,18 @@ class TestPointedIsomorphic:
         # a larger bound resolves the same instance
         assert isinstance(pointed_is_isomorphic(a, b, torsion_bound=2048), bool)
 
+    def test_factorizes_each_torsion_factor_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, markovshift.groups, "_factorize")
+        m = 2 * 1099511627791
+        assert pointed_is_isomorphic(pointed((m,), (1,)), pointed((m,), (3,)))
+        assert calls == [m]
+        # the coset search reuses the split for every element it visits
+        calls.clear()
+        assert pointed_is_isomorphic(
+            pointed((4, 12), (1, 1), 1, (2,)), pointed((4, 12), (3, 7), 1, (2,))
+        )
+        assert calls == [4, 12]
+
 
 class TestOrbitBruteForce:
     def test_trivial_match(self):
@@ -279,7 +294,7 @@ class TestOrbitBruteForce:
                 literal_orbit = {
                     apply_literal_automorphism(images, coords, factors) for images in autos
                 }
-                assert _aut_orbit(factors, coords) == frozenset(literal_orbit)
+                assert aut_orbit(factors, coords) == frozenset(literal_orbit)
 
 
 class TestAgreementSweep:
@@ -287,16 +302,17 @@ class TestAgreementSweep:
         for factors in all_shapes_up_to(32):
             g = FgAbelianGroup(0, factors)
             elements = list(g.all_elements())
+            parts = _primary_parts(factors)
             by_profile = {}
             for x in elements:
-                by_profile.setdefault(_orbit_profile(factors, x.torsion_coords), set()).add(
+                by_profile.setdefault(_orbit_profile(parts, x.torsion_coords), set()).add(
                     x.torsion_coords
                 )
             for x in elements:
-                orbit = _aut_orbit(factors, x.torsion_coords)
+                orbit = aut_orbit(factors, x.torsion_coords)
                 # sandwich: closure is contained in the true orbit, which is
                 # contained in the height class; equality pins both
-                assert orbit == frozenset(by_profile[_orbit_profile(factors, x.torsion_coords)])
+                assert orbit == frozenset(by_profile[_orbit_profile(parts, x.torsion_coords)])
 
 
 class TestTensorZ2:

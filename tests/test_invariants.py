@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import markovshift.groups
 from markovshift import (
     FgAbelianGroup,
     NonNegMatrix,
@@ -11,6 +12,7 @@ from markovshift import (
     decide_coe,
     decide_flow,
     determinant,
+    from_presentation,
     full_group_abelianization,
     identity_minus,
     invariant_triple,
@@ -19,7 +21,7 @@ from markovshift import (
 )
 from markovshift.realization import base_matrix
 
-from _support import random_nonneg, random_zero_one
+from _support import count_calls, random_nonneg, random_zero_one
 
 FULL2 = ZeroOneMatrix.from_rows([[1, 1], [1, 1]])
 GOLDEN = ZeroOneMatrix.from_rows([[1, 1], [1, 0]])
@@ -44,7 +46,8 @@ class TestBowenFranks:
         rng = random.Random(3)
         for _ in range(10):
             m = random_zero_one(rng, rng.randint(2, 4))
-            assert bowen_franks(m, True).group == bowen_franks(m, False).group
+            plain = from_presentation(identity_minus(m)).group
+            assert from_presentation(identity_minus(m, transpose=True)).group == plain
 
 
 class TestInvariantTriple:
@@ -84,6 +87,16 @@ class TestInvariantTriple:
                 assert abs(inv.det_value) == order
                 assert inv.k1_rank == 0
             assert inv.k1_rank == len(kernel_basis(identity_minus(m, transpose=True)))
+
+    def test_one_smith_form_per_invariant(self, monkeypatch):
+        calls = count_calls(monkeypatch, markovshift.groups, "smith_normal_form")
+        rng = random.Random(63)
+        matrices = [random_zero_one(rng, rng.randint(2, 5)) for _ in range(5)]
+        matrices.append(base_matrix((0, 0, 2)))
+        for m in matrices:
+            calls.clear()
+            invariant_triple(m)
+            assert calls == [identity_minus(m, transpose=True)]
 
     def test_invariant_under_state_permutation(self):
         rng = random.Random(62)
@@ -170,6 +183,26 @@ class TestKGroups:
         assert determinant(identity_minus(m)) == 0
         _, rank = k_groups(m)
         assert rank >= 1
+
+    def test_k1_rank_is_kernel_rank(self):
+        rng = random.Random(64)
+        matrices = [random_nonneg(rng, rng.randint(2, 4)) for _ in range(10)]
+        matrices += [base_matrix((0, 0)), base_matrix((0, 0, 0, 2))]
+        for m in matrices:
+            _, rank = k_groups(m)
+            assert rank == len(kernel_basis(identity_minus(m, transpose=True)))
+
+    def test_accepts_precomputed_invariant(self):
+        inv = invariant_triple(FULL3)
+        assert k_groups(inv) == k_groups(FULL3)
+        assert full_group_abelianization(inv) == full_group_abelianization(FULL3)
+
+    def test_rejects_unclassifiable(self):
+        for m in ([[1, 1], [0, 1]], [[0, 1], [1, 0]]):
+            with pytest.raises(PreconditionError):
+                k_groups(NonNegMatrix.from_rows(m))
+            with pytest.raises(PreconditionError):
+                full_group_abelianization(NonNegMatrix.from_rows(m))
 
 
 class TestFullGroupAbelianization:

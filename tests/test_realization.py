@@ -3,10 +3,14 @@ import random
 
 import pytest
 
+import markovshift.groups
+import markovshift.invariants
+import markovshift.realization
 from markovshift import (
     FgAbelianGroup,
     PointedGroup,
     PreconditionError,
+    VerificationError,
     ZeroOneMatrix,
     base_matrix,
     choose_shape,
@@ -23,6 +27,8 @@ from markovshift import (
     tail_extension,
     validate,
 )
+
+from _support import count_calls
 
 FULL2 = ZeroOneMatrix.from_rows([[1, 1], [1, 1]])
 FULL3 = ZeroOneMatrix.from_rows([[1, 1, 1], [1, 1, 1], [1, 1, 1]])
@@ -240,3 +246,27 @@ class TestRealize:
                     assert inv.group == group
                     assert inv.sign == sign
                     assert pointed_is_isomorphic(inv.pointed, PointedGroup(group, point))
+
+    def test_verified_once_on_the_returned_matrix(self, monkeypatch):
+        snf = count_calls(monkeypatch, markovshift.groups, "smith_normal_form")
+        det = count_calls(monkeypatch, markovshift.invariants, "determinant")
+        triples = [
+            (FgAbelianGroup(0, (2, 4)), (), (1, 2), 1),
+            (FgAbelianGroup(1, (2,)), (2,), (1,), 0),
+            (FgAbelianGroup(0, (12,)), (), (5,), -1),
+        ]
+        for group, free, torsion, sign in triples:
+            snf.clear()
+            det.clear()
+            matrix, plan = realize(group, group.element(free, torsion), sign)
+            # one presentation of the base matrix, one of the returned matrix
+            assert [m.rows for m in snf] == [plan.base.size, matrix.size]
+            assert len(det) == 1
+
+    def test_faulty_stage_is_caught_at_the_boundary(self, monkeypatch):
+        monkeypatch.setattr(
+            markovshift.realization, "point_vector", lambda base, u: (0,) * base.size
+        )
+        group = FgAbelianGroup(0, (4,))
+        with pytest.raises(VerificationError):
+            realize(group, group.element(torsion=(1,)), 1)
