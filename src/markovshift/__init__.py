@@ -33,7 +33,6 @@ from .groups import (
     PointedGroup,
     Presentation,
     canonical_group,
-    element_from_vector,
     from_presentation,
     height_sequence,
     is_isomorphic,

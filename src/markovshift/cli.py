@@ -115,10 +115,7 @@ def _cmd_invariant(args) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
-def _decision_report(name, decision) -> dict:
-    matrix_a, echo_a = decision["loaded_a"]
-    matrix_b, echo_b = decision["loaded_b"]
-    outcome = decision["outcome"]
+def _decision_report(name, echo_a, echo_b, outcome) -> dict:
     return {
         "command": name,
         "inputs": {"matrix_a": echo_a, "matrix_b": echo_b},
@@ -130,22 +127,18 @@ def _decision_report(name, decision) -> dict:
 
 
 def _cmd_coe(args) -> tuple[dict, int]:
-    loaded_a = _load_matrix(args.matrix_a)
-    loaded_b = _load_matrix(args.matrix_b)
-    outcome = decide_coe(loaded_a[0], loaded_b[0], torsion_bound=args.pointed_bound)
-    report = _decision_report(
-        "coe", {"loaded_a": loaded_a, "loaded_b": loaded_b, "outcome": outcome}
-    )
+    matrix_a, echo_a = _load_matrix(args.matrix_a)
+    matrix_b, echo_b = _load_matrix(args.matrix_b)
+    outcome = decide_coe(matrix_a, matrix_b, torsion_bound=args.pointed_bound)
+    report = _decision_report("coe", echo_a, echo_b, outcome)
     return report, EXIT_OK if outcome.equivalent else EXIT_NEGATIVE
 
 
 def _cmd_flow(args) -> tuple[dict, int]:
-    loaded_a = _load_matrix(args.matrix_a)
-    loaded_b = _load_matrix(args.matrix_b)
-    outcome = decide_flow(loaded_a[0], loaded_b[0])
-    report = _decision_report(
-        "flow", {"loaded_a": loaded_a, "loaded_b": loaded_b, "outcome": outcome}
-    )
+    matrix_a, echo_a = _load_matrix(args.matrix_a)
+    matrix_b, echo_b = _load_matrix(args.matrix_b)
+    outcome = decide_flow(matrix_a, matrix_b)
+    report = _decision_report("flow", echo_a, echo_b, outcome)
     return report, EXIT_OK if outcome.equivalent else EXIT_NEGATIVE
 
 

@@ -15,6 +15,13 @@ from .errors import ParseError
 from .shifts import NonNegMatrix, ZeroOneMatrix
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: byte {exc.start} cannot be decoded") from None
+
+
 def _significant_lines(text: str) -> list[tuple[int, str]]:
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -55,7 +62,7 @@ def parse_matrix_rows(text: str) -> list[list[int]]:
 
 
 def read_matrix_rows(path) -> list[list[int]]:
-    return parse_matrix_rows(Path(path).read_text(encoding="utf-8"))
+    return parse_matrix_rows(_read_text(path))
 
 
 def matrix_from_rows(rows) -> NonNegMatrix:
@@ -135,7 +142,7 @@ def parse_function_text(text: str, matrix: ZeroOneMatrix) -> LocallyConstantFn:
 
 
 def read_function_file(path, matrix: ZeroOneMatrix) -> LocallyConstantFn:
-    return parse_function_text(Path(path).read_text(encoding="utf-8"), matrix)
+    return parse_function_text(_read_text(path), matrix)
 
 
 def format_function(fn: LocallyConstantFn, alphabet_size: int) -> str:

@@ -16,7 +16,7 @@ from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, ShapeError, UndecidedError, UnsupportedError
-from .intmat import IntMatrix, smith_normal_form
+from .intmat import IntMatrix, SnfResult, smith_normal_form
 
 INFINITE = math.inf
 
@@ -178,29 +178,25 @@ def canonical_group(free_rank: int, cyclic_orders: Iterable[int]) -> FgAbelianGr
 
 @dataclass(frozen=True)
 class Presentation:
-    """Quotient Z^n / (column span of relation_matrix) in canonical form.
+    """Quotient Z^n / (column span of snf.matrix) in canonical form.
 
     The coordinate map sends v to U v and reads canonical coordinates off
     the Smith-diagonal positions: zero entries give free coordinates, the
-    entries >= 2 give torsion coordinates.
+    entries >= 2 give torsion coordinates.  U and U^-1 are applied by
+    replaying the Smith form's recorded operations, so neither is built.
     """
 
-    relation_matrix: IntMatrix
+    snf: SnfResult
     group: FgAbelianGroup
-    transform: IntMatrix
-    transform_inv: IntMatrix
-    diagonal: tuple[int, ...]
     free_positions: tuple[int, ...]
     torsion_positions: tuple[int, ...]
 
     @property
     def rank(self) -> int:
-        return self.relation_matrix.rows
+        return self.snf.matrix.rows
 
     def element_from_vector(self, v: Sequence[int]) -> GroupElement:
-        if len(v) != self.rank:
-            raise ShapeError(f"vector of length {len(v)} does not fit presentation of rank {self.rank}")
-        w = self.transform.mul_vector(tuple(int(x) for x in v))
+        w = self.snf.u_times(tuple(int(x) for x in v))
         free = tuple(w[i] for i in self.free_positions)
         torsion = tuple(w[i] for i in self.torsion_positions)
         return self.group.element(free, torsion)
@@ -214,32 +210,19 @@ class Presentation:
             w[pos] = coord
         for coord, pos in zip(x.torsion_coords, self.torsion_positions):
             w[pos] = coord
-        return self.transform_inv.mul_vector(w)
+        return self.snf.u_inv_times(w)
 
 
 def from_presentation(m: IntMatrix) -> Presentation:
     """Canonical form of Z^n modulo the columns of a square matrix."""
     if not m.is_square:
         raise ShapeError("presentation needs a square relation matrix")
-    snf = smith_normal_form(m, with_inverses=True)
+    snf = smith_normal_form(m)
     diag = snf.diagonal
     free_positions = tuple(i for i, d in enumerate(diag) if d == 0)
     torsion_positions = tuple(i for i, d in enumerate(diag) if d >= 2)
     group = FgAbelianGroup(len(free_positions), tuple(diag[i] for i in torsion_positions))
-    assert snf.U_inv is not None
-    return Presentation(
-        relation_matrix=m,
-        group=group,
-        transform=snf.U,
-        transform_inv=snf.U_inv,
-        diagonal=diag,
-        free_positions=free_positions,
-        torsion_positions=torsion_positions,
-    )
-
-
-def element_from_vector(p: Presentation, v: Sequence[int]) -> GroupElement:
-    return p.element_from_vector(v)
+    return Presentation(snf, group, free_positions, torsion_positions)
 
 
 def is_isomorphic(g: FgAbelianGroup, h: FgAbelianGroup) -> bool:

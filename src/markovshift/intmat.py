@@ -8,6 +8,7 @@ fresh objects and never mutate their arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import ShapeError
@@ -103,21 +104,43 @@ class IntMatrix:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 
 
+# An elementary row operation is recorded as (kind, i, j, q): _SWAP exchanges
+# rows i and j, _ADD adds q times row j to row i, _NEG negates row i.
+_SWAP, _ADD, _NEG = 0, 1, 2
+
+
+def _replay(ops, v: list[int], inverse: bool) -> list[int]:
+    """Apply the recorded operations to v in place, or undo them when inverse."""
+    for kind, i, j, q in reversed(ops) if inverse else ops:
+        if kind == _ADD:
+            v[i] += (-q if inverse else q) * v[j]
+        elif kind == _SWAP:
+            v[i], v[j] = v[j], v[i]
+        else:
+            v[i] = -v[i]
+    return v
+
+
+def _transform_matrix(ops, n: int, inverse: bool) -> IntMatrix:
+    """The product of the recorded operations, or its inverse, as an n x n matrix."""
+    cols = [_replay(ops, [int(i == j) for i in range(n)], inverse) for j in range(n)]
+    return IntMatrix(tuple(zip(*cols)))
+
+
 @dataclass(frozen=True)
 class SnfResult:
     """Smith normal form D = U @ M @ V of an integer matrix M.
 
     U and V are unimodular; the diagonal of D is nonnegative and each
-    diagonal entry divides the next.  U_inv and V_inv are present when the
-    form was computed with ``with_inverses=True``.
+    diagonal entry divides the next.  Only D is built by the elimination,
+    which records its row operations and, as row operations on M^t, its
+    column operations; U, V and their inverses are replayed when first read.
     """
 
     matrix: IntMatrix
     D: IntMatrix
-    U: IntMatrix
-    V: IntMatrix
-    U_inv: IntMatrix | None = None
-    V_inv: IntMatrix | None = None
+    row_ops: tuple[tuple[int, int, int, int], ...]
+    col_ops: tuple[tuple[int, int, int, int], ...]
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -127,12 +150,37 @@ class SnfResult:
     def rank(self) -> int:
         return sum(1 for d in self.diagonal if d != 0)
 
+    @cached_property
+    def U(self) -> IntMatrix:
+        return _transform_matrix(self.row_ops, self.matrix.rows, inverse=False)
 
-def _eye(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    @cached_property
+    def U_inv(self) -> IntMatrix:
+        return _transform_matrix(self.row_ops, self.matrix.rows, inverse=True)
+
+    @cached_property
+    def V(self) -> IntMatrix:
+        return _transform_matrix(self.col_ops, self.matrix.cols, inverse=False).transpose()
+
+    @cached_property
+    def V_inv(self) -> IntMatrix:
+        return _transform_matrix(self.col_ops, self.matrix.cols, inverse=True).transpose()
+
+    def u_times(self, v: Sequence[int]) -> tuple[int, ...]:
+        """U v, replayed without building U."""
+        return tuple(_replay(self.row_ops, self._fit(v), inverse=False))
+
+    def u_inv_times(self, v: Sequence[int]) -> tuple[int, ...]:
+        """U^-1 v, replayed without building U^-1."""
+        return tuple(_replay(self.row_ops, self._fit(v), inverse=True))
+
+    def _fit(self, v: Sequence[int]) -> list[int]:
+        if len(v) != self.matrix.rows:
+            raise ShapeError(f"vector of length {len(v)} does not fit {self.matrix.rows} rows")
+        return list(v)
 
 
-def smith_normal_form(m: IntMatrix, with_inverses: bool = False) -> SnfResult:
+def smith_normal_form(m: IntMatrix) -> SnfResult:
     """Diagonalize an integer matrix by unimodular row and column operations.
 
     Pivots are chosen with minimal absolute value to keep intermediate
@@ -141,35 +189,24 @@ def smith_normal_form(m: IntMatrix, with_inverses: bool = False) -> SnfResult:
     """
     r, c = m.rows, m.cols
     a = [list(row) for row in m.entries]
-    u = _eye(r)
-    v = _eye(c)
-    ui = _eye(r) if with_inverses else None
-    vi = _eye(c) if with_inverses else None
+    row_ops: list[tuple[int, int, int, int]] = []
+    col_ops: list[tuple[int, int, int, int]] = []
 
     def swap_rows(i: int, j: int) -> None:
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-        if ui is not None:
-            for row in ui:
-                row[i], row[j] = row[j], row[i]
+        row_ops.append((_SWAP, i, j, 0))
 
     def swap_cols(i: int, j: int) -> None:
         for row in a:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-        if vi is not None:
-            vi[i], vi[j] = vi[j], vi[i]
+        col_ops.append((_SWAP, i, j, 0))
 
     def add_row(dst: int, src: int, q: int) -> None:
         # row_dst += q * row_src
         if q == 0:
             return
         a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-        if ui is not None:
-            for row in ui:
-                row[src] -= q * row[dst]
+        row_ops.append((_ADD, dst, src, q))
 
     def add_col(dst: int, src: int, q: int) -> None:
         # col_dst += q * col_src
@@ -177,17 +214,11 @@ def smith_normal_form(m: IntMatrix, with_inverses: bool = False) -> SnfResult:
             return
         for row in a:
             row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-        if vi is not None:
-            vi[src] = [x - q * y for x, y in zip(vi[src], vi[dst])]
+        col_ops.append((_ADD, dst, src, q))
 
     def negate_row(i: int) -> None:
         a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-        if ui is not None:
-            for row in ui:
-                row[i] = -row[i]
+        row_ops.append((_NEG, i, i, 0))
 
     def find_pivot(t: int) -> tuple[int, int] | None:
         best = None
@@ -254,11 +285,9 @@ def smith_normal_form(m: IntMatrix, with_inverses: bool = False) -> SnfResult:
 
     return SnfResult(
         matrix=m,
-        D=IntMatrix.from_rows(a),
-        U=IntMatrix.from_rows(u),
-        V=IntMatrix.from_rows(v),
-        U_inv=IntMatrix.from_rows(ui) if ui is not None else None,
-        V_inv=IntMatrix.from_rows(vi) if vi is not None else None,
+        D=IntMatrix(tuple(map(tuple, a))),
+        row_ops=tuple(row_ops),
+        col_ops=tuple(col_ops),
     )
 
 

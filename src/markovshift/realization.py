@@ -19,6 +19,7 @@ from .groups import (
     FgAbelianGroup,
     GroupElement,
     PointedGroup,
+    _factorize,
     from_presentation,
     pointed_is_isomorphic,
 )
@@ -52,18 +53,7 @@ def choose_shape(group: FgAbelianGroup, sign: int) -> tuple[int, ...]:
         if group.is_finite:
             raise PreconditionError("a finite group needs sign -1 or 1")
         raise PreconditionError("an infinite group forces determinant 0, so sign must be 0")
-    parts: list[int] = []
-    for m in group.torsion_factors:
-        remaining = m
-        q = 2
-        while remaining > 1:
-            if remaining % q == 0:
-                power = 1
-                while remaining % q == 0:
-                    power *= q
-                    remaining //= q
-                parts.append(power)
-            q += 1
+    parts = [p**e for m in group.torsion_factors for p, e in _factorize(m).items()]
     d = [0] * (1 + group.free_rank) + sorted(parts)
     if group.is_finite:
         if len(d) < 2:
@@ -118,8 +108,6 @@ def point_vector(base: NonNegMatrix, u: GroupElement) -> tuple[int, ...]:
     """
     d = _base_diagonal_parameters(base)
     pres = from_presentation(identity_minus(base, transpose=True))
-    if not pres.group.contains(pres.group.element(u.free_coords, u.torsion_coords)):
-        raise ShapeError("element does not live in the group presented by the base matrix")
     v = list(pres.representative(u))
     for i, di in enumerate(d):
         if di >= 1:

@@ -70,6 +70,16 @@ class TestValidateCommand:
         assert out.returncode == 2
         assert "error" in out.stdout
 
+    def test_matrix_file_not_utf8_exit_2(self, tmp_path):
+        p = tmp_path / "bad.txt"
+        p.write_bytes(b"2\n1 1\n1 \xff\n")
+        out = run_cli("invariant", str(p), "--json")
+        assert out.returncode == 2
+        assert out.stderr == ""
+        report = json.loads(out.stdout)
+        assert report["error"]["kind"] == "parse_error"
+        assert str(p) in report["error"]["message"]
+
 
 class TestInvariantCommand:
     def test_full_three_shift(self, corpus):
@@ -203,6 +213,16 @@ class TestPositivityCommand:
         fn = tmp_path / "cob.txt"
         fn.write_text("window 2\n11 0\n12 1\n21 -1\n22 0\n")
         assert run_cli("positivity", corpus["full2"], str(fn)).returncode == 0
+
+    def test_function_file_not_utf8_exit_2(self, corpus, tmp_path):
+        fn = tmp_path / "fn_bad.txt"
+        fn.write_bytes(b"window 1\n1 1\n2 \xff\n")
+        out = run_cli("positivity", corpus["full2"], str(fn), "--json")
+        assert out.returncode == 2
+        assert out.stderr == ""
+        report = json.loads(out.stdout)
+        assert report["error"]["kind"] == "parse_error"
+        assert str(fn) in report["error"]["message"]
 
     def test_domain_mismatch_exit_2(self, corpus, tmp_path):
         fn = tmp_path / "short.txt"

@@ -10,6 +10,7 @@ from markovshift import (
     FgAbelianGroup,
     IntMatrix,
     PointedGroup,
+    ShapeError,
     UndecidedError,
     UnsupportedError,
     canonical_group,
@@ -88,6 +89,27 @@ class TestFromPresentation:
             diff = tuple(a - b for a, b in zip(v, w))
             # difference lies in the column span iff M x = diff has a solution
             assert same == (solve_linear(m, diff) is not None)
+
+    def test_replayed_transforms_agree_with_the_matrices(self):
+        rng = random.Random(29)
+        for _ in range(25):
+            n = rng.randint(1, 6)
+            pres = from_presentation(random_int_matrix(rng, n, n, bound=4))
+            snf, g = pres.snf, pres.group
+            v = tuple(rng.randint(-5, 5) for _ in range(n))
+            w = snf.U.mul_vector(v)
+            expected = g.element([w[i] for i in pres.free_positions], [w[i] for i in pres.torsion_positions])
+            assert pres.element_from_vector(v) == expected
+            x = g.element(
+                [rng.randint(-3, 3) for _ in range(g.free_rank)],
+                [rng.randint(0, m - 1) for m in g.torsion_factors],
+            )
+            coords = [0] * n
+            for pos, c in zip(pres.free_positions + pres.torsion_positions, x.free_coords + x.torsion_coords):
+                coords[pos] = c
+            assert pres.representative(x) == snf.U_inv.mul_vector(coords)
+            with pytest.raises(ShapeError):
+                pres.element_from_vector(v + (0,))
 
     def test_representative_round_trip(self):
         rng = random.Random(11)

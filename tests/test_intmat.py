@@ -16,8 +16,8 @@ from _support import cofactor_determinant, random_int_matrix
 FULL3_RELATION = [[0, -1, -1], [-1, 0, -1], [-1, -1, 0]]
 
 
-def snf_invariants_hold(m: IntMatrix, with_inverses: bool = False):
-    snf = smith_normal_form(m, with_inverses=with_inverses)
+def snf_invariants_hold(m: IntMatrix):
+    snf = smith_normal_form(m)
     assert (snf.U @ m @ snf.V) == snf.D
     assert abs(determinant(snf.U)) == 1
     assert abs(determinant(snf.V)) == 1
@@ -32,9 +32,11 @@ def snf_invariants_hold(m: IntMatrix, with_inverses: bool = False):
         for j in range(m.cols):
             if i != j:
                 assert snf.D.entries[i][j] == 0
-    if with_inverses:
-        assert (snf.U @ snf.U_inv) == IntMatrix.identity(m.rows)
-        assert (snf.V @ snf.V_inv) == IntMatrix.identity(m.cols)
+    assert (snf.U @ snf.U_inv) == IntMatrix.identity(m.rows)
+    assert (snf.V @ snf.V_inv) == IntMatrix.identity(m.cols)
+    v = tuple(range(1, m.rows + 1))
+    assert snf.u_times(v) == snf.U.mul_vector(v)
+    assert snf.u_inv_times(v) == snf.U_inv.mul_vector(v)
     return snf
 
 
@@ -58,7 +60,7 @@ class TestSmithNormalForm:
         for _ in range(40):
             rows = rng.randint(1, 5)
             cols = rng.randint(1, 5)
-            snf_invariants_hold(random_int_matrix(rng, rows, cols), with_inverses=True)
+            snf_invariants_hold(random_int_matrix(rng, rows, cols))
 
     def test_determinant_matches_diagonal_product(self):
         rng = random.Random(7)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import markovshift.groups
+import markovshift.intmat
 from markovshift import (
     FgAbelianGroup,
     NonNegMatrix,
@@ -97,6 +98,16 @@ class TestInvariantTriple:
             calls.clear()
             invariant_triple(m)
             assert calls == [identity_minus(m, transpose=True)]
+
+    def test_no_transform_matrix_is_built(self, monkeypatch):
+        builds = count_calls(monkeypatch, markovshift.intmat, "_transform_matrix")
+        m = random_zero_one(random.Random(30), 30)
+        invariant_triple(m)
+        assert builds == []
+        # reading a transform builds it once through the counted function
+        snf = from_presentation(identity_minus(m, transpose=True)).snf
+        assert snf.U_inv is snf.U_inv
+        assert len(builds) == 1
 
     def test_invariant_under_state_permutation(self):
         rng = random.Random(62)

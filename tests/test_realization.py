@@ -4,12 +4,14 @@ import random
 import pytest
 
 import markovshift.groups
+import markovshift.intmat
 import markovshift.invariants
 import markovshift.realization
 from markovshift import (
     FgAbelianGroup,
     PointedGroup,
     PreconditionError,
+    ShapeError,
     VerificationError,
     ZeroOneMatrix,
     base_matrix,
@@ -145,6 +147,10 @@ class TestPointVector:
         with pytest.raises(PreconditionError):
             point_vector(FULL2, FgAbelianGroup(0).zero())
 
+    def test_rejects_element_of_another_group_shape(self):
+        with pytest.raises(ShapeError):
+            point_vector(base_matrix((0, 3)), FgAbelianGroup(0, (2, 4)).element(torsion=(1, 1)))
+
 
 class TestTailExtension:
     def test_zero_tails_is_identity(self):
@@ -262,6 +268,12 @@ class TestRealize:
             # one presentation of the base matrix, one of the returned matrix
             assert [m.rows for m in snf] == [plan.base.size, matrix.size]
             assert len(det) == 1
+
+    def test_no_transform_matrix_is_built(self, monkeypatch):
+        builds = count_calls(monkeypatch, markovshift.intmat, "_transform_matrix")
+        group = FgAbelianGroup(0, (2, 4))
+        realize(group, group.element(torsion=(1, 2)), 1)
+        assert builds == []
 
     def test_faulty_stage_is_caught_at_the_boundary(self, monkeypatch):
         monkeypatch.setattr(
