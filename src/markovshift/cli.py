@@ -404,6 +404,13 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         report = {"command": args.subcommand, "error": {"kind": "internal_error", "message": str(exc)}}
         code = EXIT_ERROR
+    except Exception as exc:
+        import traceback  # only on this path: the import costs every command start-up time
+
+        traceback.print_exc(file=sys.stderr)
+        message = f"{type(exc).__name__}: {exc}"
+        report = {"command": args.subcommand, "error": {"kind": "internal_error", "message": message}}
+        code = EXIT_ERROR
     if args.timing:
         report["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
     _emit(report, args.json)

@@ -74,10 +74,15 @@ def orbit_sum(a: ZeroOneMatrix, fn: LocallyConstantFn, cycle: Sequence[int]) -> 
         raise InadmissibleWordError(f"cycle {c} is not cyclically admissible")
     n = len(c)
     k = fn.window
+    # enough copies of the cycle that each of its n windows is one slice
+    ext = c * ((n + k - 2) // n + 1)
+    values = fn.values
     total = 0
-    for i in range(n):
-        window = tuple(c[(i + t) % n] for t in range(k))
-        total += fn.value(window)
+    try:
+        for i in range(n):
+            total += values[ext[i : i + k]]
+    except KeyError as exc:
+        raise DomainError(f"function is not defined on word {exc.args[0]}") from None
     return total
 
 

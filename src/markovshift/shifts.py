@@ -125,18 +125,35 @@ def _symbols(w) -> tuple[int, ...]:
     return tuple(w)
 
 
+def _follows(a: NonNegMatrix, row: tuple[int, ...], ws: tuple[int, ...]) -> bool:
+    """True when ws[0] has a nonzero entry in row, and each later symbol one
+    in the row of the symbol before it.
+
+    Entries are nonnegative, so a nonzero entry is exactly an allowed pair.
+    The symbols must already be known to lie in the alphabet.
+    """
+    rows = a.entries
+    for s in ws:
+        if not row[s - 1]:
+            return False
+        row = rows[s - 1]
+    return True
+
+
 def is_admissible(a: NonNegMatrix, word) -> bool:
     ws = _symbols(word)
-    if any(not 1 <= s <= a.size for s in ws):
+    if not ws:
+        return True
+    if min(ws) < 1 or max(ws) > a.size:
         return False
-    return all(a.allows(ws[i], ws[i + 1]) for i in range(len(ws) - 1))
+    return _follows(a, a.entries[ws[0] - 1], ws[1:])
 
 
 def is_cyclically_admissible(a: NonNegMatrix, word) -> bool:
     ws = _symbols(word)
-    if not ws or not is_admissible(a, ws):
+    if not ws or min(ws) < 1 or max(ws) > a.size:
         return False
-    return a.allows(ws[-1], ws[0])
+    return _follows(a, a.entries[ws[-1] - 1], ws)
 
 
 @dataclass(frozen=True)
@@ -314,39 +331,50 @@ def periodic_orbit_words(a: ZeroOneMatrix, max_period: int) -> list[tuple[int, .
     the period of the prefix: extending by the anchor symbol keeps the
     period, a larger symbol resets it to the new length, a smaller one
     cannot lead to a minimal rotation.  A word is a primitive minimal
-    rotation exactly when its period equals its length.
+    rotation exactly when its period equals its length.  Successors are
+    pushed largest first, so words leave the stack in lexicographic order
+    within each length and a stable sort by length finishes the listing.
     """
     if max_period < 1:
         raise DomainError("period bound must be at least 1")
     n = a.size
+    rows = a.entries
+    descending_successors = [()] + [
+        tuple(t for t in range(n, 0, -1) if row[t - 1]) for row in rows
+    ]
     out: list[tuple[int, ...]] = []
     for first in range(1, n + 1):
+        closing = {s for s in range(1, n + 1) if rows[s - 1][first - 1]}
         stack: list[tuple[tuple[int, ...], int]] = [((first,), 1)]
         while stack:
             w, p = stack.pop()
             q = len(w)
-            if p == q and a.allows(w[-1], w[0]):
+            if p == q and w[-1] in closing:
                 out.append(w)
             if q == max_period:
                 continue
             anchor = w[q % p]
-            last = w[-1]
-            for s in range(anchor, n + 1):
-                if a.allows(last, s):
-                    stack.append((w + (s,), p if s == anchor else q + 1))
-    out.sort(key=lambda word: (len(word), word))
+            for s in descending_successors[w[-1]]:
+                if s < anchor:
+                    break
+                stack.append((w + (s,), p if s == anchor else q + 1))
+    out.sort(key=len)
     return out
 
 
 def count_period_points(a: ZeroOneMatrix, p: int) -> int:
-    """Number of points fixed by the p-th shift power: trace of A^p."""
+    """Number of points fixed by the p-th shift power: trace of A^p, by repeated squaring."""
     if p < 1:
         raise DomainError("period must be at least 1")
-    m = a.as_int_matrix()
-    power = m
-    for _ in range(p - 1):
-        power = power @ m
-    return power.trace()
+    square = a.as_int_matrix()
+    power = None
+    while True:
+        if p & 1:
+            power = square if power is None else power @ square
+        p >>= 1
+        if not p:
+            return power.trace()
+        square = square @ square
 
 
 # ---------------------------------------------------------------------------

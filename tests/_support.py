@@ -114,20 +114,35 @@ def all_shapes_up_to(max_order: int) -> list[tuple[int, ...]]:
     return shapes
 
 
+def _cyclic_pairs_allowed(m, word) -> bool:
+    """Cyclic admissibility read straight from the rows of the matrix."""
+    n = len(word)
+    return n > 0 and all(m.entries[word[i] - 1][word[(i + 1) % n] - 1] >= 1 for i in range(n))
+
+
 def naive_periodic_orbit_words(m, max_period: int) -> list[tuple[int, ...]]:
     """Brute-force orbit enumeration: filter every word by hand."""
-    from markovshift import is_cyclically_admissible, least_rotation_period, lex_min_rotation
+    from markovshift import least_rotation_period, lex_min_rotation
 
     out = []
     for q in range(1, max_period + 1):
         for word in product(range(1, m.size + 1), repeat=q):
             if (
-                is_cyclically_admissible(m, word)
+                _cyclic_pairs_allowed(m, word)
                 and lex_min_rotation(word) == word
                 and least_rotation_period(word) == q
             ):
                 out.append(word)
     return out
+
+
+def naive_orbit_sum(m, fn, cycle) -> int:
+    """Orbit-sum oracle: one table lookup per window, each window built index by index."""
+    assert _cyclic_pairs_allowed(m, cycle)
+    n = len(cycle)
+    return sum(
+        fn.values[tuple(cycle[(i + t) % n] for t in range(fn.window))] for i in range(n)
+    )
 
 
 def literal_automorphism_tuples(factors: tuple[int, ...]):

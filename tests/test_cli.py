@@ -282,6 +282,27 @@ class TestErrorReports:
             "error": {"kind": "internal_error", "message": "realized matrix has the wrong group or sign"},
         }
 
+    def test_unexpected_exception_exit_4(self, monkeypatch, capsys):
+        def failing(*args, **kwargs):
+            raise RuntimeError("unexpected state")
+
+        monkeypatch.setattr(markovshift.cli, "realize", failing)
+        assert main(["realize", "--torsion", "4", "--point", "1", "--sign", "-1", "--json"]) == 4
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {
+            "command": "realize",
+            "error": {"kind": "internal_error", "message": "RuntimeError: unexpected state"},
+        }
+        assert captured.err.startswith("Traceback")
+
+    def test_keyboard_interrupt_not_caught(self, monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(markovshift.cli, "realize", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["realize", "--torsion", "4", "--point", "1", "--sign", "-1", "--json"])
+
 
 class TestGlobalFlags:
     def test_timing_is_opt_in(self, corpus):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -17,7 +18,7 @@ from markovshift import (
     periodic_orbit_words,
 )
 
-from _support import random_zero_one
+from _support import naive_orbit_sum, random_zero_one
 
 FULL2 = ZeroOneMatrix.from_rows([[1, 1], [1, 1]])
 SIGN_FN = LocallyConstantFn.over(FULL2, 1, {(1,): 1, (2,): -1})
@@ -70,6 +71,38 @@ class TestOrbitSum:
         fn = LocallyConstantFn.constant(golden, 1)
         with pytest.raises(InadmissibleWordError):
             orbit_sum(golden, fn, (2,))
+
+    def test_windows_longer_than_the_cycle(self):
+        fn = LocallyConstantFn.over(
+            FULL2, 3, {w: 10 * i for i, w in enumerate(admissible_words(FULL2, 3))}
+        )
+        # (2,)^inf reads (2, 2, 2) once; (1, 2)^inf reads (1, 2, 1) then (2, 1, 2)
+        assert orbit_sum(FULL2, fn, (2,)) == fn.values[(2, 2, 2)]
+        assert orbit_sum(FULL2, fn, (1, 2)) == fn.values[(1, 2, 1)] + fn.values[(2, 1, 2)]
+        window4 = LocallyConstantFn.over(FULL2, 4, {w: 1 for w in admissible_words(FULL2, 4)})
+        assert orbit_sum(FULL2, window4, (1,)) == 1
+
+    def test_matches_naive_oracle(self):
+        rng = random.Random(4242)
+        for size in (2, 3, 4, 5):
+            for _ in range(3):
+                m = random_zero_one(rng, size)
+                words = periodic_orbit_words(m, 6)
+                for window in (1, 2, 3, 4):
+                    fn = random_fn(rng, m, window, bound=9)
+                    for w in words:
+                        assert orbit_sum(m, fn, w) == naive_orbit_sum(m, fn, w)
+
+    def test_missing_window_names_the_word(self):
+        partial = LocallyConstantFn(2, {(1, 1): 1, (2, 2): 1})
+        with pytest.raises(DomainError, match=re.escape("function is not defined on word (1, 2)")):
+            orbit_sum(FULL2, partial, (1, 2))
+        assert orbit_sum(FULL2, partial, (1,)) == 1
+
+    def test_out_of_range_or_empty_cycle_rejected(self):
+        for cycle in ((3,), (1, 3), (0, 1), ()):
+            with pytest.raises(InadmissibleWordError):
+                orbit_sum(FULL2, SIGN_FN, cycle)
 
 
 class TestAttractingWeight:

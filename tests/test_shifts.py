@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -152,6 +153,21 @@ class TestWords:
         assert is_cyclically_admissible(GOLDEN, (1, 2))
         assert not is_cyclically_admissible(GOLDEN, (2, 1, 2))
 
+    def test_multiple_edges_agree_with_allows(self):
+        rng = random.Random(77)
+        cases = [NonNegMatrix.from_rows([[2, 0, 1], [0, 3, 1], [1, 1, 0]])]
+        cases += [random_nonneg(rng, rng.randint(1, 3)) for _ in range(5)]
+        for m in cases:
+            for length in range(1, 5):
+                for word in product(range(1, m.size + 1), repeat=length):
+                    pairs = list(zip(word, word[1:]))
+                    assert is_admissible(m, word) == all(m.allows(s, t) for s, t in pairs)
+                    assert is_cyclically_admissible(m, word) == all(
+                        m.allows(s, t) for s, t in pairs + [(word[-1], word[0])]
+                    )
+        assert not is_admissible(cases[0], (1, 4))
+        assert not is_cyclically_admissible(cases[0], ())
+
     def test_word_factory(self):
         w = Word.admissible(GOLDEN, (1, 2))
         assert w.symbols == (1, 2)
@@ -223,6 +239,19 @@ class TestPeriodicOrbits:
         assert count_period_points(GOLDEN, 1) == 1
         assert count_period_points(GOLDEN, 2) == 3
         assert count_period_points(FULL2, 3) == 8
+        assert count_period_points(FULL2, 64) == 2**64
+        with pytest.raises(DomainError):
+            count_period_points(FULL2, 0)
+
+    def test_counts_match_explicit_powers(self):
+        rng = random.Random(4040)
+        for size in (2, 3, 4, 5, 6):
+            for _ in range(2):
+                m = random_zero_one(rng, size)
+                power = m.as_int_matrix()
+                for p in range(1, 41):
+                    assert count_period_points(m, p) == power.trace()
+                    power = power @ m.as_int_matrix()
 
     def test_trace_equals_weighted_orbit_count(self):
         rng = random.Random(23)
