@@ -3,6 +3,12 @@
 Everything runs on Python's arbitrary-precision integers, so no operation
 here can overflow or round.  All values are immutable; functions return
 fresh objects and never mutate their arguments.
+
+Both eliminations skip work on entries already known to be zero, which
+dominates on the sparse relation matrices of edge shifts: the Smith form
+leaves finished rows and columns alone, and Bareiss defers the scaling of
+rows it does not eliminate.  Neither changes a pivot, an operation or a
+result; the docstrings of ``smith_normal_form`` and ``determinant`` say why.
 """
 
 from __future__ import annotations
@@ -60,27 +66,6 @@ class IntMatrix:
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.entries)))
-
-    def _same_shape(self, other: "IntMatrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ShapeError(
-                f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
-            )
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        self._same_shape(other)
-        return IntMatrix(
-            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.entries, other.entries))
-        )
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        self._same_shape(other)
-        return IntMatrix(
-            tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.entries, other.entries))
-        )
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(-a for a in row) for row in self.entries))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -186,6 +171,15 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     Pivots are chosen with minimal absolute value to keep intermediate
     entries small.  The diagonal is normalized nonnegative and satisfies
     the divisibility chain d1 | d2 | ... (zeros, if any, come last).
+
+    Once pivot t is finished, its row and column are zero off the diagonal,
+    and no later operation changes that: a row operation then adds only
+    rows >= t, which are zero left of column t, and a column operation only
+    columns >= t, which are zero above row t.  So later operations update
+    only rows and columns >= t, and adding a multiple of column t touches
+    only the rows where column t is nonzero.  Every skipped update would add
+    zero, so D and the recorded operations are those of the full updates.
+    A pivot of +-1 divides every entry, so its divisibility scan is skipped.
     """
     r, c = m.rows, m.cols
     a = [list(row) for row in m.entries]
@@ -197,24 +191,26 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
         row_ops.append((_SWAP, i, j, 0))
 
     def swap_cols(i: int, j: int) -> None:
-        for row in a:
+        # rows above t are zero in both columns
+        for row in a[t:]:
             row[i], row[j] = row[j], row[i]
         col_ops.append((_SWAP, i, j, 0))
 
     def add_row(dst: int, src: int, q: int) -> None:
-        # row_dst += q * row_src
+        # row_dst += q * row_src; both rows are zero left of column t
         if q == 0:
             return
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
+        a[dst][t:] = [x + q * y for x, y in zip(a[dst][t:], a[src][t:])]
         row_ops.append((_ADD, dst, src, q))
 
-    def add_col(dst: int, src: int, q: int) -> None:
-        # col_dst += q * col_src
+    def add_col(dst: int, q: int) -> None:
+        # col_dst += q * col_t, on the rows where col_t is nonzero
         if q == 0:
             return
-        for row in a:
-            row[dst] += q * row[src]
-        col_ops.append((_ADD, dst, src, q))
+        for i in live:
+            row = a[i]
+            row[dst] += q * row[t]
+        col_ops.append((_ADD, dst, t, q))
 
     def negate_row(i: int) -> None:
         a[i] = [-x for x in a[i]]
@@ -254,17 +250,22 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
                     add_row(i, t, -q)
                     if a[i][t] != 0:
                         swap_rows(i, t)
+            # the row pass left column t zero below row t
+            live = [t]
             col_dirtied = False
             for j in range(t + 1, c):
                 while a[t][j] != 0:
                     q = a[t][j] // a[t][t]
-                    add_col(j, t, -q)
+                    add_col(j, -q)
                     if a[t][j] != 0:
                         swap_cols(j, t)
+                        live = [i for i in range(t, r) if a[i][t] != 0]
                         col_dirtied = True
             if col_dirtied:
                 continue
             pivot = a[t][t]
+            if pivot in (1, -1):
+                break
             offender = None
             for i in range(t + 1, r):
                 row = a[i]
@@ -292,30 +293,57 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
 
 
 def determinant(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant by fraction-free (Bareiss) elimination.
+
+    Step k replaces each row i > k by (p_k row_i - a_ik row_k) / p_(k-1),
+    where p_k is the k-th pivot.  A row with a_ik = 0 is only scaled by
+    p_k / p_(k-1), so that scaling is deferred: each row keeps the step s
+    up to which it is current, and is brought to step k, by multiplying by
+    p_(k-1) and dividing by p_(s-1), only when it is next eliminated or
+    read.  The division is exact, because every entry of a row brought up
+    to date is, like every entry of full Bareiss elimination, a minor of M;
+    scaling by nonzero pivots never changes which entries are zero.
+    """
     if not m.is_square:
         raise ShapeError("determinant needs a square matrix")
     n = m.rows
     a = [list(row) for row in m.entries]
+    # divisor[k] is p_(k-1), with p_(-1) = 1; row i is current up to step since[i]
+    divisor = [1]
+    since = [0] * n
     sign = 1
-    prev = 1
+
+    def current(i: int, k: int) -> list[int]:
+        row = a[i]
+        s = since[i]
+        if s != k:
+            up, down = divisor[k], divisor[s]
+            row[k:] = [x * up // down for x in row[k:]]
+            since[i] = k
+        return row
+
     for k in range(n - 1):
         if a[k][k] == 0:
             swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
             if swap is None:
                 return 0
             a[k], a[swap] = a[swap], a[k]
+            since[k], since[swap] = since[swap], since[k]
             sign = -sign
-        pivot = a[k][k]
+        base = current(k, k)
+        pivot = base[k]
+        prev = divisor[k]
         for i in range(k + 1, n):
-            row = a[i]
+            if a[i][k] == 0:
+                continue
+            row = current(i, k)
             head = row[k]
-            base = a[k]
             for j in range(k + 1, n):
                 row[j] = (row[j] * pivot - head * base[j]) // prev
             row[k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+            since[i] = k + 1
+        divisor.append(pivot)
+    return sign * current(n - 1, n - 1)[n - 1]
 
 
 def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:

@@ -86,10 +86,12 @@ class ZeroOneMatrix(NonNegMatrix):
 
 def identity_minus(a: NonNegMatrix, transpose: bool = False) -> IntMatrix:
     """The integer matrix id - A (or id - A^t)."""
-    m = a.as_int_matrix()
-    if transpose:
-        m = m.transpose()
-    return IntMatrix.identity(a.size) - m
+    rows = []
+    for i, row in enumerate(zip(*a.entries) if transpose else a.entries):
+        negated = [-x for x in row]
+        negated[i] += 1
+        rows.append(tuple(negated))
+    return IntMatrix(tuple(rows))
 
 
 # ---------------------------------------------------------------------------

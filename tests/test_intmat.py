@@ -1,19 +1,54 @@
+import hashlib
 import random
 
 import pytest
 
 from markovshift import (
+    FgAbelianGroup,
     IntMatrix,
     ShapeError,
     determinant,
+    identity_minus,
     kernel_basis,
+    realize,
     smith_normal_form,
     solve_linear,
 )
 
-from _support import cofactor_determinant, random_int_matrix
+from _support import cofactor_determinant, random_int_matrix, random_zero_one
 
 FULL3_RELATION = [[0, -1, -1], [-1, 0, -1], [-1, -1, 0]]
+
+# Bareiss defers the second and fourth rows at step 0 (zero in column 0);
+# reading a deferred row's head before bringing the row up to date gives 25
+DEFERRED_ROWS = [[1, 0, 0, 0, 0], [0, 0, -3, 0, -1], [3, 0, -1, 3, 0], [0, 2, 0, 1, 0], [-3, 2, 3, 0, -1]]
+
+NON_UNITS = (-6, -4, -3, -2, 2, 3, 4, 6)
+
+# sha256 of repr((D.entries, row_ops, col_ops)), pinned from the elimination
+# that updated every row and column on every operation
+GOLDEN_SNF = {
+    "full_three_shift": "03dedea1cb3a16277ebeec6db8e4c42d1748ac94f1eb3952aab6d03736f78f8d",
+    "non_unit_12x9": "5c20e0deaea8cf9bc5e48cd892ccb890ec62a87e23c7206f40dbf3b3bb3baf7a",
+    "relation_40": "826b3ab05ad637db957196e9473696dcacdf3bcce589a9d9fdf1e8b19e0ec81c",
+}
+
+
+def sparse_int_matrix(rng: random.Random, rows: int, cols: int, density: float, values) -> IntMatrix:
+    return IntMatrix.from_rows(
+        [[rng.choice(values) if rng.random() < density else 0 for _ in range(cols)] for _ in range(rows)]
+    )
+
+
+def golden_inputs() -> dict[str, IntMatrix]:
+    """Three fixed inputs.  The 12 x 9 one (diagonal 1, 1, 1, 1, 1, 2, 2, 4, 72)
+    swaps columns while rows below the pivot are live in the new column, and
+    folds in rows whose entries a non-unit pivot does not divide."""
+    return {
+        "full_three_shift": IntMatrix.from_rows(FULL3_RELATION),
+        "non_unit_12x9": sparse_int_matrix(random.Random(1), 12, 9, 0.3, NON_UNITS),
+        "relation_40": identity_minus(random_zero_one(random.Random(40), 40, density=0.3), transpose=True),
+    }
 
 
 def snf_invariants_hold(m: IntMatrix):
@@ -62,6 +97,29 @@ class TestSmithNormalForm:
             cols = rng.randint(1, 5)
             snf_invariants_hold(random_int_matrix(rng, rows, cols))
 
+    def test_sparse_with_non_unit_pivots(self):
+        rng = random.Random(613)
+        non_unit_diagonals = 0
+        for _ in range(60):
+            rows, cols = rng.randint(6, 12), rng.randint(6, 12)
+            m = sparse_int_matrix(rng, rows, cols, rng.uniform(0.15, 0.5), NON_UNITS)
+            snf = snf_invariants_hold(m)
+            non_unit_diagonals += any(d > 1 for d in snf.diagonal)
+        assert non_unit_diagonals >= 30
+
+    def test_realized_edge_shift_relation(self):
+        group = FgAbelianGroup(0, (109,))
+        final, _plan = realize(group, group.element((), (108,)), -1)
+        assert final.size == 123
+        snf = snf_invariants_hold(identity_minus(final, transpose=True))
+        assert snf.diagonal == (1,) * 122 + (109,)
+
+    def test_operation_log_is_pinned(self):
+        for name, m in golden_inputs().items():
+            snf = smith_normal_form(m)
+            record = repr((snf.D.entries, snf.row_ops, snf.col_ops)).encode()
+            assert hashlib.sha256(record).hexdigest() == GOLDEN_SNF[name], name
+
     def test_determinant_matches_diagonal_product(self):
         rng = random.Random(7)
         for _ in range(30):
@@ -96,6 +154,19 @@ class TestDeterminant:
             n = rng.randint(1, 4)
             m = random_int_matrix(rng, n, n)
             assert determinant(m) == cofactor_determinant(m)
+
+    def test_sparse_against_cofactor_oracle(self):
+        rng = random.Random(2718)
+        values = range(-3, 4)
+        for _ in range(300):
+            n = rng.randint(5, 8)
+            m = sparse_int_matrix(rng, n, n, rng.uniform(0.2, 0.6), values)
+            assert determinant(m) == cofactor_determinant(m)
+
+    def test_deferred_row_is_brought_up_to_date_before_its_head_is_read(self):
+        m = IntMatrix.from_rows(DEFERRED_ROWS)
+        assert cofactor_determinant(m) == 34
+        assert determinant(m) == 34
 
     def test_large_entries_stay_exact(self):
         big = 10**30

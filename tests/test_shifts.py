@@ -16,6 +16,7 @@ from markovshift import (
     edge_shift,
     eventually_periodic_point,
     higher_block,
+    identity_minus,
     is_admissible,
     is_cyclically_admissible,
     is_irreducible,
@@ -57,6 +58,20 @@ class TestMatrixTypes:
     def test_negative_entry_rejected(self):
         with pytest.raises(DomainError):
             NonNegMatrix.from_rows([[1, -1], [1, 1]])
+
+
+class TestIdentityMinus:
+    def test_entries_in_both_orientations(self):
+        rng = random.Random(87)
+        for _ in range(20):
+            a = random_nonneg(rng, rng.randint(1, 6))
+            n = a.size
+            for transpose in (False, True):
+                got = identity_minus(a, transpose=transpose)
+                assert got.entries == tuple(
+                    tuple(int(i == j) - (a.entries[j][i] if transpose else a.entries[i][j]) for j in range(n))
+                    for i in range(n)
+                )
 
 
 class TestValidate:
