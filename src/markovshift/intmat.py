@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from math import prod
 from typing import Iterable, Sequence
 
 from .errors import ShapeError
@@ -120,6 +122,8 @@ class SnfResult:
     diagonal entry divides the next.  Only D is built by the elimination,
     which records its row operations and, as row operations on M^t, its
     column operations; U, V and their inverses are replayed when first read.
+    The determinant of a square M is read off D and the record, with no
+    second elimination.
     """
 
     matrix: IntMatrix
@@ -134,6 +138,19 @@ class SnfResult:
     @property
     def rank(self) -> int:
         return sum(1 for d in self.diagonal if d != 0)
+
+    @property
+    def determinant(self) -> int:
+        """det M = det(D) / (det U det V), the sign taken from the record.
+
+        Each recorded swap (always of two distinct rows or columns) and each
+        negation has determinant -1, each addition of a multiple +1.
+        """
+        if not self.matrix.is_square:
+            raise ShapeError("determinant needs a square matrix")
+        det = prod(self.diagonal)
+        kinds = [kind for kind, _, _, _ in chain(self.row_ops, self.col_ops)]
+        return -det if (len(kinds) - kinds.count(_ADD)) % 2 else det
 
     @cached_property
     def U(self) -> IntMatrix:

@@ -18,12 +18,12 @@ from .groups import (
     FgAbelianGroup,
     GroupElement,
     PointedGroup,
+    Presentation,
     from_presentation,
     is_isomorphic,
     pointed_is_isomorphic,
     tensor_z2,
 )
-from .intmat import determinant
 from .shifts import (
     NonNegMatrix,
     identity_minus,
@@ -85,22 +85,29 @@ def _require_classifiable(a: NonNegMatrix) -> None:
         )
 
 
+def _pointed_presentation(a: NonNegMatrix) -> tuple[Presentation, PointedGroup]:
+    pres = from_presentation(identity_minus(a, transpose=True))
+    return pres, PointedGroup(pres.group, pres.element_from_vector((1,) * a.size))
+
+
 def bowen_franks(a: NonNegMatrix) -> PointedGroup:
     """Bowen-Franks group Z^N / (id - A^t) Z^N pointed at the all-ones class.
 
     The transpose is the convention under which the distinguished point is
     meaningful; the plain group is abstractly the same for id - A.
     """
-    pres = from_presentation(identity_minus(a, transpose=True))
-    point = pres.element_from_vector((1,) * a.size)
-    return PointedGroup(pres.group, point)
+    return _pointed_presentation(a)[1]
 
 
 def invariant_triple(a: NonNegMatrix) -> MarkovInvariant:
-    """Assemble the full invariant of an irreducible, non-permutation matrix."""
+    """Assemble the full invariant of an irreducible, non-permutation matrix.
+
+    One Smith form of id - A^t gives all three parts: the group, the point,
+    and det(id - A) = det(id - A^t), read off the same elimination.
+    """
     _require_classifiable(a)
-    pointed = bowen_franks(a)
-    det = determinant(identity_minus(a))
+    pres, pointed = _pointed_presentation(a)
+    det = pres.snf.determinant
     return MarkovInvariant(
         group=pointed.group,
         point=pointed.point,

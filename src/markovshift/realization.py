@@ -24,7 +24,7 @@ from .groups import (
     pointed_is_isomorphic,
 )
 from .invariants import MarkovInvariant, invariant_triple
-from .shifts import NonNegMatrix, ZeroOneMatrix, edge_shift, identity_minus, validate
+from .shifts import NonNegMatrix, ZeroOneMatrix, edge_shift, identity_minus
 
 
 @dataclass(frozen=True)
@@ -165,12 +165,12 @@ def realize(
     c = point_vector(base, point)
     extended = tail_extension(base, c)
     final = edge_shift(extended)
-    diagnostics = validate(final)
-    if not diagnostics.classifiable:
-        raise VerificationError(
-            "realized matrix failed validation: " + "; ".join(i.message for i in diagnostics.issues)
-        )
-    inv = invariant_triple(final)
+    # edge_shift returns a ZeroOneMatrix, so only irreducibility and the
+    # permutation property are left to check, and invariant_triple checks both
+    try:
+        inv = invariant_triple(final)
+    except PreconditionError as exc:
+        raise VerificationError(f"realized matrix failed validation: {exc}") from exc
     if inv.group != group or inv.sign != sign:
         raise VerificationError("realized matrix has the wrong group or sign")
     if not pointed_is_isomorphic(inv.pointed, PointedGroup(group, point), torsion_bound=torsion_bound):

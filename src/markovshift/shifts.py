@@ -10,6 +10,7 @@ a nonnegative matrix, and higher-block recodings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import DomainError, InadmissibleWordError, PreconditionError, ShapeError
@@ -23,34 +24,49 @@ class NonNegMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     MIN_SIZE = 1
+    ZERO_ONE = False
 
     def __post_init__(self):
-        n = len(self.entries)
+        entries = self.entries
+        n = len(entries)
         if n < self.MIN_SIZE:
             raise ShapeError(f"matrix must have size at least {self.MIN_SIZE}")
-        for row in self.entries:
-            if len(row) != n:
-                raise ShapeError("transition matrix must be square")
+        if any(len(row) != n for row in entries):
+            raise ShapeError("transition matrix must be square")
+        # whole-matrix passes; only a failed one walks the entries, to name the first bad one
+        if (
+            set(map(type, chain.from_iterable(entries))) != {int}
+            or min(map(min, entries)) < 0
+            or (self.ZERO_ONE and max(map(max, entries)) > 1)
+        ):
+            self._check_each_entry()
+        if not all(map(any, entries)):
+            i = next(i for i, row in enumerate(entries) if not any(row))
+            raise DomainError(f"row {i + 1} is identically zero")
+        if not all(map(any, zip(*entries))):
+            j = next(j for j, col in enumerate(zip(*entries)) if not any(col))
+            raise DomainError(f"column {j + 1} is identically zero")
+
+    def _check_each_entry(self):
+        """Raise for the first bad entry in row-major order.
+
+        Every entry is checked to be a nonnegative integer before, in a 0/1
+        matrix, any entry is checked to be at most 1.
+        """
         for i, row in enumerate(self.entries):
             for x in row:
                 if not isinstance(x, int) or isinstance(x, bool):
                     raise ShapeError(f"entry {x!r} is not an integer")
                 if x < 0:
                     raise DomainError(f"negative entry {x} in row {i + 1}")
-        self._check_entries()
-        for i, row in enumerate(self.entries):
-            if all(x == 0 for x in row):
-                raise DomainError(f"row {i + 1} is identically zero")
-        for j in range(n):
-            if all(row[j] == 0 for row in self.entries):
-                raise DomainError(f"column {j + 1} is identically zero")
-
-    def _check_entries(self):
-        pass
+        if self.ZERO_ONE:
+            for x in chain.from_iterable(self.entries):
+                if x > 1:
+                    raise DomainError(f"entry {x} is not in {{0, 1}}")
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]):
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
+        return cls(tuple(tuple(map(int, row)) for row in rows))
 
     @property
     def size(self) -> int:
@@ -68,7 +84,7 @@ class NonNegMatrix:
 
     @property
     def is_zero_one(self) -> bool:
-        return all(x <= 1 for row in self.entries for x in row)
+        return max(map(max, self.entries)) <= 1
 
 
 @dataclass(frozen=True)
@@ -76,12 +92,7 @@ class ZeroOneMatrix(NonNegMatrix):
     """Transition matrix with entries in {0, 1} and at least two states."""
 
     MIN_SIZE = 2
-
-    def _check_entries(self):
-        for row in self.entries:
-            for x in row:
-                if x > 1:
-                    raise DomainError(f"entry {x} is not in {{0, 1}}")
+    ZERO_ONE = True
 
 
 def identity_minus(a: NonNegMatrix, transpose: bool = False) -> IntMatrix:

@@ -174,6 +174,23 @@ class TestDeterminant:
         assert determinant(m) == big * big - 1
 
 
+class TestSmithFormDeterminant:
+    def test_against_cofactor_and_bareiss(self):
+        rng = random.Random(1307)
+        signs = set()
+        for _ in range(320):
+            n = rng.randint(1, 8)
+            m = sparse_int_matrix(rng, n, n, rng.uniform(0.25, 0.9), range(-9, 10))
+            det = smith_normal_form(m).determinant
+            assert det == cofactor_determinant(m) == determinant(m)
+            signs.add((det > 0) - (det < 0))
+        assert signs == {-1, 0, 1}
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ShapeError, match="determinant needs a square matrix"):
+            smith_normal_form(IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])).determinant
+
+
 class TestKernelBasis:
     def test_identity_kernel_trivial(self):
         assert kernel_basis(IntMatrix.identity(2)) == []

@@ -91,6 +91,7 @@ class TestInvariantTriple:
 
     def test_one_smith_form_per_invariant(self, monkeypatch):
         calls = count_calls(monkeypatch, markovshift.groups, "smith_normal_form")
+        bareiss = count_calls(monkeypatch, markovshift.intmat, "determinant")
         rng = random.Random(63)
         matrices = [random_zero_one(rng, rng.randint(2, 5)) for _ in range(5)]
         matrices.append(base_matrix((0, 0, 2)))
@@ -98,6 +99,17 @@ class TestInvariantTriple:
             calls.clear()
             invariant_triple(m)
             assert calls == [identity_minus(m, transpose=True)]
+        assert bareiss == []
+
+    def test_determinant_agrees_with_bareiss(self):
+        rng = random.Random(65)
+        signs = set()
+        for _ in range(120):
+            m = random_zero_one(rng, rng.randint(2, 30), density=rng.uniform(0.1, 0.6))
+            inv = invariant_triple(m)
+            assert inv.det_value == determinant(identity_minus(m))
+            signs.add(inv.sign)
+        assert signs == {-1, 0, 1}
 
     def test_no_transform_matrix_is_built(self, monkeypatch):
         builds = count_calls(monkeypatch, markovshift.intmat, "_transform_matrix")

@@ -5,7 +5,6 @@ import pytest
 
 import markovshift.groups
 import markovshift.intmat
-import markovshift.invariants
 import markovshift.realization
 from markovshift import (
     FgAbelianGroup,
@@ -255,7 +254,7 @@ class TestRealize:
 
     def test_verified_once_on_the_returned_matrix(self, monkeypatch):
         snf = count_calls(monkeypatch, markovshift.groups, "smith_normal_form")
-        det = count_calls(monkeypatch, markovshift.invariants, "determinant")
+        bareiss = count_calls(monkeypatch, markovshift.intmat, "determinant")
         triples = [
             (FgAbelianGroup(0, (2, 4)), (), (1, 2), 1),
             (FgAbelianGroup(1, (2,)), (2,), (1,), 0),
@@ -263,11 +262,11 @@ class TestRealize:
         ]
         for group, free, torsion, sign in triples:
             snf.clear()
-            det.clear()
             matrix, plan = realize(group, group.element(free, torsion), sign)
-            # one presentation of the base matrix, one of the returned matrix
+            # one presentation of the base matrix, one of the returned matrix,
+            # whose Smith form also gives the determinant
             assert [m.rows for m in snf] == [plan.base.size, matrix.size]
-            assert len(det) == 1
+            assert bareiss == []
 
     def test_no_transform_matrix_is_built(self, monkeypatch):
         builds = count_calls(monkeypatch, markovshift.intmat, "_transform_matrix")
@@ -281,4 +280,17 @@ class TestRealize:
         )
         group = FgAbelianGroup(0, (4,))
         with pytest.raises(VerificationError):
+            realize(group, group.element(torsion=(1,)), 1)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[1, 1], [0, 1]], "matrix is reducible"),
+            ([[0, 1], [1, 0]], "matrix is a permutation matrix"),
+        ],
+    )
+    def test_unclassifiable_result_fails_verification(self, monkeypatch, rows, message):
+        monkeypatch.setattr(markovshift.realization, "edge_shift", lambda a: ZeroOneMatrix.from_rows(rows))
+        group = FgAbelianGroup(0, (4,))
+        with pytest.raises(VerificationError, match=f"realized matrix failed validation: {message}"):
             realize(group, group.element(torsion=(1,)), 1)

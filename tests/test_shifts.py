@@ -59,6 +59,33 @@ class TestMatrixTypes:
         with pytest.raises(DomainError):
             NonNegMatrix.from_rows([[1, -1], [1, 1]])
 
+    @pytest.mark.parametrize(
+        "cls, entries, error, message",
+        [
+            (NonNegMatrix, ((1, 1), (1,)), ShapeError, "transition matrix must be square"),
+            (ZeroOneMatrix, ((1,),), ShapeError, "matrix must have size at least 2"),
+            (NonNegMatrix, ((1, True), (1, 1)), ShapeError, "entry True is not an integer"),
+            (NonNegMatrix, ((1, 1), (1.0, 1)), ShapeError, "entry 1.0 is not an integer"),
+            (NonNegMatrix, ((1, 1), (1, -3)), DomainError, "negative entry -3 in row 2"),
+            (ZeroOneMatrix, ((1, 2), (1, 1)), DomainError, "entry 2 is not in {0, 1}"),
+            (ZeroOneMatrix, ((2, 1), (1, -1)), DomainError, "negative entry -1 in row 2"),
+            (NonNegMatrix, ((1, 1), (0, 0)), DomainError, "row 2 is identically zero"),
+            (NonNegMatrix, ((1, 0), (1, 0)), DomainError, "column 2 is identically zero"),
+            (NonNegMatrix, ((1, 1), (-2, True)), DomainError, "negative entry -2 in row 2"),
+            (NonNegMatrix, ((1, False), (-2, 1)), ShapeError, "entry False is not an integer"),
+        ],
+    )
+    def test_first_bad_entry_is_named(self, cls, entries, error, message):
+        with pytest.raises(error) as info:
+            cls(entries)
+        assert str(info.value) == message
+
+    def test_int_subclass_entries_accepted(self):
+        class Count(int):
+            pass
+
+        assert ZeroOneMatrix(((Count(1), 1), (1, Count(0)))).size == 2
+
 
 class TestIdentityMinus:
     def test_entries_in_both_orientations(self):
@@ -98,6 +125,25 @@ class TestValidate:
 
     def test_not_square(self):
         assert "not_square" in [i.code for i in validate([[1, 1]]).issues]
+
+    def test_matrix_object_agrees_with_its_rows(self):
+        rng = random.Random(88)
+        matrices = [NonNegMatrix(((1,),)), NonNegMatrix(((3,),)), ZeroOneMatrix.from_rows(PERM)]
+        for _ in range(150):
+            n = rng.randint(1, 7)
+            cls = ZeroOneMatrix if n > 1 and rng.random() < 0.5 else NonNegMatrix
+            rows = [[rng.randint(0, 1 if cls is ZeroOneMatrix else 2) for _ in range(n)] for _ in range(n)]
+            perm = rng.sample(range(n), n)
+            if rng.random() < 0.2:
+                rows = [[int(j == perm[i]) for j in range(n)] for i in range(n)]
+            if all(map(any, rows)) and all(map(any, zip(*rows))):
+                matrices.append(cls.from_rows(rows))
+        codes = set()
+        for m in matrices:
+            diagnostics = validate(m)
+            assert diagnostics == validate(m.entries)
+            codes.update([i.code for i in diagnostics.issues] or ["classifiable"])
+        assert codes == {"classifiable", "too_small", "reducible", "condition_I"}
 
 
 class TestIrreducibility:
