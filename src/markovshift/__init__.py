@@ -11,8 +11,6 @@ periodic orbits.
 from .cohomology import (
     LocallyConstantFn,
     PositivityResult,
-    attracting_weight,
-    coboundary,
     is_positive_class,
     orbit_sum,
 )
@@ -39,7 +37,7 @@ from .groups import (
     pointed_is_isomorphic,
     tensor_z2,
 )
-from .intmat import IntMatrix, SnfResult, determinant, kernel_basis, smith_normal_form, solve_linear
+from .intmat import IntMatrix, SnfResult, determinant, smith_normal_form
 from .invariants import (
     EquivalenceDecision,
     MarkovInvariant,

@@ -14,13 +14,12 @@ from typing import Mapping, Sequence
 
 from .errors import DomainError, InadmissibleWordError, PreconditionError, VerificationError
 from .shifts import (
-    EventuallyPeriodicPoint,
     ZeroOneMatrix,
     admissible_words,
     is_cyclically_admissible,
     is_irreducible,
+    is_permutation_matrix,
     lex_min_rotation,
-    satisfies_condition_I,
 )
 
 
@@ -84,28 +83,6 @@ def orbit_sum(a: ZeroOneMatrix, fn: LocallyConstantFn, cycle: Sequence[int]) -> 
     except KeyError as exc:
         raise DomainError(f"function is not defined on word {exc.args[0]}") from None
     return total
-
-
-def attracting_weight(
-    a: ZeroOneMatrix, fn: LocallyConstantFn, x: EventuallyPeriodicPoint, n: int
-) -> int:
-    """Weight of winding n times around the periodic tail of x.
-
-    Equals n times the orbit sum of the cycle; this is the value the
-    induced cocycle takes on the attracting loop at x.
-    """
-    if n < 1:
-        raise DomainError("winding count must be positive")
-    return n * orbit_sum(a, fn, x.cycle.symbols)
-
-
-def coboundary(a: ZeroOneMatrix, eta: LocallyConstantFn) -> LocallyConstantFn:
-    """The function eta - eta o shift, one window wider than eta."""
-    k = eta.window
-    table = {}
-    for w in admissible_words(a, k + 1):
-        table[w] = eta.value(w[:k]) - eta.value(w[1:])
-    return LocallyConstantFn(k + 1, table)
 
 
 @dataclass(frozen=True)
@@ -215,7 +192,7 @@ def is_positive_class(a: ZeroOneMatrix, fn: LocallyConstantFn) -> PositivityResu
     """
     if not is_irreducible(a):
         raise PreconditionError("positivity decision requires an irreducible matrix")
-    if not satisfies_condition_I(a):
+    if is_permutation_matrix(a):
         raise PreconditionError("positivity decision requires a shift space without isolated points")
     k = fn.window
     words = admissible_words(a, k)

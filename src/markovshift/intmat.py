@@ -1,14 +1,13 @@
-"""Exact integer matrices: Smith normal form, determinants, kernels.
+"""Exact integer matrices: Smith normal form and determinants.
 
 Everything runs on Python's arbitrary-precision integers, so no operation
 here can overflow or round.  All values are immutable; functions return
 fresh objects and never mutate their arguments.
 
-Both eliminations skip work on entries already known to be zero, which
-dominates on the sparse relation matrices of edge shifts: the Smith form
-leaves finished rows and columns alone, and Bareiss defers the scaling of
-rows it does not eliminate.  Neither changes a pivot, an operation or a
-result; the docstrings of ``smith_normal_form`` and ``determinant`` say why.
+The Smith form skips work on entries already known to be zero, which
+dominates on the sparse relation matrices of edge shifts: it leaves
+finished rows and columns alone.  That changes no pivot, operation or
+result; the docstring of ``smith_normal_form`` says why.
 """
 
 from __future__ import annotations
@@ -312,87 +311,28 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
 def determinant(m: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination.
 
-    Step k replaces each row i > k by (p_k row_i - a_ik row_k) / p_(k-1),
-    where p_k is the k-th pivot.  A row with a_ik = 0 is only scaled by
-    p_k / p_(k-1), so that scaling is deferred: each row keeps the step s
-    up to which it is current, and is brought to step k, by multiplying by
-    p_(k-1) and dividing by p_(s-1), only when it is next eliminated or
-    read.  The division is exact, because every entry of a row brought up
-    to date is, like every entry of full Bareiss elimination, a minor of M;
-    scaling by nonzero pivots never changes which entries are zero.
+    Step k replaces each entry a_ij with i, j > k by
+    (p_k a_ij - a_ik a_kj) / p_(k-1), where p_k is the k-th pivot and
+    p_(-1) = 1.  Every entry so formed is a minor of M, so each division is
+    exact, and the last pivot is the determinant (Bareiss 1968).
     """
     if not m.is_square:
         raise ShapeError("determinant needs a square matrix")
     n = m.rows
     a = [list(row) for row in m.entries]
-    # divisor[k] is p_(k-1), with p_(-1) = 1; row i is current up to step since[i]
-    divisor = [1]
-    since = [0] * n
     sign = 1
-
-    def current(i: int, k: int) -> list[int]:
-        row = a[i]
-        s = since[i]
-        if s != k:
-            up, down = divisor[k], divisor[s]
-            row[k:] = [x * up // down for x in row[k:]]
-            since[i] = k
-        return row
-
+    prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
             swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
             if swap is None:
                 return 0
             a[k], a[swap] = a[swap], a[k]
-            since[k], since[swap] = since[swap], since[k]
             sign = -sign
-        base = current(k, k)
+        base = a[k]
         pivot = base[k]
-        prev = divisor[k]
-        for i in range(k + 1, n):
-            if a[i][k] == 0:
-                continue
-            row = current(i, k)
+        for row in a[k + 1 :]:
             head = row[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pivot - head * base[j]) // prev
-            row[k] = 0
-            since[i] = k + 1
-        divisor.append(pivot)
-    return sign * current(n - 1, n - 1)[n - 1]
-
-
-def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
-    """Basis of the integer kernel {v : M v = 0}; empty list if trivial.
-
-    The vectors come from the columns of the Smith-form column transform
-    and therefore generate the kernel as a lattice.
-    """
-    snf = smith_normal_form(m)
-    rank = snf.rank
-    if rank == m.cols:
-        return []
-    cols = list(zip(*snf.V.entries))
-    return [tuple(cols[j]) for j in range(rank, m.cols)]
-
-
-def solve_linear(m: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
-    """Some integer solution x of M x = b, or None when none exists."""
-    if len(b) != m.rows:
-        raise ShapeError(f"right-hand side of length {len(b)} does not fit {m.rows} rows")
-    snf = smith_normal_form(m)
-    y = snf.U.mul_vector(tuple(b))
-    diag = snf.diagonal
-    w = [0] * m.cols
-    for i in range(m.rows):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if y[i] != 0:
-                return None
-        else:
-            if y[i] % d != 0:
-                return None
-            if i < m.cols:
-                w[i] = y[i] // d
-    return snf.V.mul_vector(w)
+            row[k + 1 :] = [(x * pivot - head * y) // prev for x, y in zip(row[k + 1 :], base[k + 1 :])]
+        prev = pivot
+    return sign * a[n - 1][n - 1]

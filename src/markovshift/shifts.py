@@ -82,10 +82,6 @@ class NonNegMatrix:
     def as_int_matrix(self) -> IntMatrix:
         return IntMatrix(self.entries)
 
-    @property
-    def is_zero_one(self) -> bool:
-        return max(map(max, self.entries)) <= 1
-
 
 @dataclass(frozen=True)
 class ZeroOneMatrix(NonNegMatrix):
@@ -403,15 +399,12 @@ def edge_shift(a: NonNegMatrix) -> ZeroOneMatrix:
     shift is conjugate to the original one, so every invariant computed
     downstream agrees.
     """
-    edges: list[tuple[int, int]] = []
-    for i in range(1, a.size + 1):
-        for j in range(1, a.size + 1):
-            edges.extend((i, j) for _ in range(a.entry(i, j)))
+    edges = [(i, j) for i, row in enumerate(a.entries) for j, count in enumerate(row) for _ in range(count)]
     if len(edges) < 2:
         raise DomainError("edge shift would have fewer than 2 states")
-    rows = tuple(
-        tuple(1 if e[1] == f[0] else 0 for f in edges) for e in edges
-    )
+    # one row per state, with a 1 at each edge starting there; each edge takes its target's row
+    starts = [tuple(int(source == i) for source, _ in edges) for i in range(a.size)]
+    rows = tuple(starts[target] for _, target in edges)
     return ZeroOneMatrix(rows)
 
 

@@ -6,15 +6,23 @@ import math
 import random
 from functools import lru_cache
 from itertools import product
+from typing import Sequence
 
 from markovshift import (
+    DomainError,
+    EventuallyPeriodicPoint,
     IntMatrix,
+    LocallyConstantFn,
     NonNegMatrix,
     PointedGroup,
+    ShapeError,
     UnsupportedError,
     ZeroOneMatrix,
+    admissible_words,
     is_irreducible,
     is_isomorphic,
+    orbit_sum,
+    smith_normal_form,
 )
 
 
@@ -42,6 +50,41 @@ def cofactor_determinant(m: IntMatrix) -> int:
         return total
 
     return det(rows)
+
+
+def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
+    """Basis of the integer kernel {v : M v = 0}; empty list if trivial.
+
+    The vectors come from the columns of the Smith-form column transform
+    and therefore generate the kernel as a lattice.
+    """
+    snf = smith_normal_form(m)
+    rank = snf.rank
+    if rank == m.cols:
+        return []
+    cols = list(zip(*snf.V.entries))
+    return [tuple(cols[j]) for j in range(rank, m.cols)]
+
+
+def solve_linear(m: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
+    """Some integer solution x of M x = b, or None when none exists."""
+    if len(b) != m.rows:
+        raise ShapeError(f"right-hand side of length {len(b)} does not fit {m.rows} rows")
+    snf = smith_normal_form(m)
+    y = snf.U.mul_vector(tuple(b))
+    diag = snf.diagonal
+    w = [0] * m.cols
+    for i in range(m.rows):
+        d = diag[i] if i < len(diag) else 0
+        if d == 0:
+            if y[i] != 0:
+                return None
+        else:
+            if y[i] % d != 0:
+                return None
+            if i < m.cols:
+                w[i] = y[i] // d
+    return snf.V.mul_vector(w)
 
 
 def count_calls(monkeypatch, module, name: str) -> list:
@@ -143,6 +186,28 @@ def naive_orbit_sum(m, fn, cycle) -> int:
     return sum(
         fn.values[tuple(cycle[(i + t) % n] for t in range(fn.window))] for i in range(n)
     )
+
+
+def attracting_weight(
+    a: ZeroOneMatrix, fn: LocallyConstantFn, x: EventuallyPeriodicPoint, n: int
+) -> int:
+    """Weight of winding n times around the periodic tail of x.
+
+    Equals n times the orbit sum of the cycle; this is the value the
+    induced cocycle takes on the attracting loop at x.
+    """
+    if n < 1:
+        raise DomainError("winding count must be positive")
+    return n * orbit_sum(a, fn, x.cycle.symbols)
+
+
+def coboundary(a: ZeroOneMatrix, eta: LocallyConstantFn) -> LocallyConstantFn:
+    """The function eta - eta o shift, one window wider than eta."""
+    k = eta.window
+    table = {}
+    for w in admissible_words(a, k + 1):
+        table[w] = eta.value(w[:k]) - eta.value(w[1:])
+    return LocallyConstantFn(k + 1, table)
 
 
 def literal_automorphism_tuples(factors: tuple[int, ...]):

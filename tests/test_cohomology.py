@@ -10,15 +10,13 @@ from markovshift import (
     PreconditionError,
     ZeroOneMatrix,
     admissible_words,
-    attracting_weight,
-    coboundary,
     eventually_periodic_point,
     is_positive_class,
     orbit_sum,
     periodic_orbit_words,
 )
 
-from _support import naive_orbit_sum, random_zero_one
+from _support import attracting_weight, coboundary, naive_orbit_sum, random_zero_one
 
 FULL2 = ZeroOneMatrix.from_rows([[1, 1], [1, 1]])
 SIGN_FN = LocallyConstantFn.over(FULL2, 1, {(1,): 1, (2,): -1})
@@ -170,12 +168,13 @@ class TestIsPositiveClass:
     def test_requires_irreducible(self):
         reducible = [[1, 1], [0, 1]]
         m = ZeroOneMatrix.from_rows(reducible)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="^positivity decision requires an irreducible matrix$"):
             is_positive_class(m, LocallyConstantFn.constant(m, 1))
 
     def test_requires_condition_I(self):
         m = ZeroOneMatrix.from_rows([[0, 1], [1, 0]])
-        with pytest.raises(PreconditionError):
+        message = "^positivity decision requires a shift space without isolated points$"
+        with pytest.raises(PreconditionError, match=message):
             is_positive_class(m, LocallyConstantFn.constant(m, 1))
 
     def test_agrees_with_exhaustive_enumeration(self):

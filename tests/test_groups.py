@@ -18,7 +18,6 @@ from markovshift import (
     height_sequence,
     is_isomorphic,
     pointed_is_isomorphic,
-    solve_linear,
     tensor_z2,
 )
 from markovshift.groups import _orbit_profile, _primary_parts
@@ -33,6 +32,7 @@ from _support import (
     literal_automorphism_tuples,
     orbit_brute_force,
     random_int_matrix,
+    solve_linear,
 )
 
 FULL3_RELATION = IntMatrix.from_rows([[0, -1, -1], [-1, 0, -1], [-1, -1, 0]])

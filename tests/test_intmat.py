@@ -9,18 +9,16 @@ from markovshift import (
     ShapeError,
     determinant,
     identity_minus,
-    kernel_basis,
     realize,
     smith_normal_form,
-    solve_linear,
 )
 
-from _support import cofactor_determinant, random_int_matrix, random_zero_one
+from _support import cofactor_determinant, kernel_basis, random_int_matrix, random_zero_one, solve_linear
 
 FULL3_RELATION = [[0, -1, -1], [-1, 0, -1], [-1, -1, 0]]
 
-# Bareiss defers the second and fourth rows at step 0 (zero in column 0);
-# reading a deferred row's head before bringing the row up to date gives 25
+# regression input: the second and fourth rows are zero in the first pivot
+# column, and an elimination that skipped such rows once gave 25, not 34
 DEFERRED_ROWS = [[1, 0, 0, 0, 0], [0, 0, -3, 0, -1], [3, 0, -1, 3, 0], [0, 2, 0, 1, 0], [-3, 2, 3, 0, -1]]
 
 NON_UNITS = (-6, -4, -3, -2, 2, 3, 4, 6)

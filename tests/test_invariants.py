@@ -18,11 +18,10 @@ from markovshift import (
     identity_minus,
     invariant_triple,
     k_groups,
-    kernel_basis,
 )
 from markovshift.realization import base_matrix
 
-from _support import count_calls, random_nonneg, random_zero_one
+from _support import count_calls, kernel_basis, random_nonneg, random_zero_one
 
 FULL2 = ZeroOneMatrix.from_rows([[1, 1], [1, 1]])
 GOLDEN = ZeroOneMatrix.from_rows([[1, 1], [1, 0]])

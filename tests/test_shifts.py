@@ -346,6 +346,24 @@ class TestEdgeShift:
         with pytest.raises(DomainError):
             edge_shift(NonNegMatrix.from_rows([[1]]))
 
+    def test_follower_pairs_against_edge_list(self):
+        rng = random.Random(412)
+        checked = 0
+        while checked < 200:
+            n = rng.randint(1, 5)
+            rows = [[rng.randint(0, 3) for _ in range(n)] for _ in range(n)]
+            if not all(map(any, rows)) or not all(map(any, zip(*rows))):
+                continue
+            edges = [(i, j) for i in range(n) for j in range(n) for _ in range(rows[i][j])]
+            if len(edges) < 2:
+                continue
+            out = edge_shift(NonNegMatrix.from_rows(rows))
+            assert out.size == len(edges)
+            for e, (_, end) in enumerate(edges):
+                for f, (start, _) in enumerate(edges):
+                    assert out.entries[e][f] == (1 if end == start else 0)
+            checked += 1
+
     def test_preserves_validation_and_irreducibility(self):
         rng = random.Random(77)
         for _ in range(15):
