@@ -68,7 +68,6 @@ from .shifts import (
     lex_min_rotation,
     period_of,
     periodic_orbit_words,
-    satisfies_condition_I,
     validate,
 )
 

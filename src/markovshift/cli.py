@@ -312,8 +312,6 @@ def _render_text(report: dict) -> str:
                 f"fixed points of power {entry['points_fixed_by_power']}, "
                 f"crosscheck {'ok' if entry['crosscheck_ok'] else 'FAILED'}"
             )
-    else:
-        lines.append(json.dumps(report, indent=2))
     return "\n".join(lines)
 
 

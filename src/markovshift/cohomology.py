@@ -3,8 +3,9 @@
 A function with window k assigns an integer to every admissible k-word.
 Its cohomology class is positive exactly when every periodic orbit has a
 nonnegative total, which reduces to the absence of a negative-weight cycle
-in the k-block graph; the detector returns a violating cyclic word as a
-witness.
+in the k-block graph.  The matrix is irreducible, so that graph is
+strongly connected and one negative-cycle search over all of it decides
+the class; the search returns a violating cyclic word as a witness.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .errors import DomainError, InadmissibleWordError, PreconditionError, Verif
 from .shifts import (
     ZeroOneMatrix,
     admissible_words,
+    block_graph,
     is_cyclically_admissible,
     is_irreducible,
     is_permutation_matrix,
@@ -94,69 +96,19 @@ class PositivityResult:
         return self.positive
 
 
-def _strongly_connected_components(adj: list[list[int]]) -> list[list[int]]:
-    """Tarjan's algorithm, iterative."""
-    n = len(adj)
-    index: list[int | None] = [None] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] is not None:
-            continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            v, next_child = work[-1]
-            if next_child == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            descended = False
-            for pos in range(next_child, len(adj[v])):
-                w = adj[v][pos]
-                if index[w] is None:
-                    work[-1] = (v, pos + 1)
-                    work.append((w, 0))
-                    descended = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if descended:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    component.append(w)
-                    if w == v:
-                        break
-                components.append(component)
-    return components
-
-
-def _negative_cycle_in_component(
-    component: list[int], adj: list[list[int]], weight: list[int]
-) -> list[int] | None:
-    """A negative-total cycle inside one strongly connected component.
+def _negative_cycle(adj: list[list[int]], weight: list[int]) -> list[int] | None:
+    """A negative-total cycle of the graph, or None when there is none.
 
     Bellman-Ford style relaxation from an all-zero potential; an update
-    surviving |component| full rounds certifies a negative cycle, which is
+    surviving len(adj) full rounds certifies a negative cycle, which is
     then read off the predecessor chain.
     """
-    members = set(component)
-    dist = {v: 0 for v in component}
+    n = len(adj)
+    dist = [0] * n
     pred: dict[int, int] = {}
-    edges = [(u, v) for u in component for v in adj[u] if v in members]
+    edges = [(u, v) for u in range(n) for v in adj[u]]
     last_updated = None
-    for _ in range(len(component) + 1):
+    for _ in range(n + 1):
         last_updated = None
         for u, v in edges:
             candidate = dist[u] + weight[u]
@@ -168,7 +120,7 @@ def _negative_cycle_in_component(
             return None
     try:
         node = last_updated
-        for _ in range(len(component)):
+        for _ in range(n):
             node = pred[node]
         cycle = [node]
         walk = pred[node]
@@ -187,34 +139,24 @@ def is_positive_class(a: ZeroOneMatrix, fn: LocallyConstantFn) -> PositivityResu
     Positivity holds exactly when every finite invariant set, equivalently
     every periodic orbit, has nonnegative total.  Orbits are cycles of the
     k-block graph whose edges are weighted by the value at the source
-    block, so the decision is a negative-cycle search per strongly
-    connected component.  A negative verdict returns a witness cyclic word.
+    block, so the decision is one negative-cycle search over that graph.
+    One search is enough: A is irreducible, so its k-block graph is
+    strongly connected and holds every cycle in one component.  A negative
+    verdict returns a witness cyclic word.
     """
     if not is_irreducible(a):
         raise PreconditionError("positivity decision requires an irreducible matrix")
     if is_permutation_matrix(a):
         raise PreconditionError("positivity decision requires a shift space without isolated points")
-    k = fn.window
-    words = admissible_words(a, k)
+    words, successors = block_graph(a, fn.window)
     if set(fn.values) != set(words):
         raise DomainError("function table does not match the admissible words of the matrix")
-    position = {w: i for i, w in enumerate(words)}
-    if k == 1:
-        adj = [
-            [position[(t,)] for t in range(1, a.size + 1) if a.allows(w[0], t)]
-            for w in words
-        ]
-    else:
-        by_prefix: dict[tuple[int, ...], list[int]] = {}
-        for i, w in enumerate(words):
-            by_prefix.setdefault(w[:-1], []).append(i)
-        adj = [by_prefix.get(w[1:], []) for w in words]
     weight = [fn.value(w) for w in words]
-    for component in _strongly_connected_components(adj):
-        cycle = _negative_cycle_in_component(component, adj, weight)
-        if cycle is not None:
-            witness = lex_min_rotation(tuple(words[v][0] for v in cycle))
-            if orbit_sum(a, fn, witness) >= 0:
-                raise VerificationError("negative-cycle witness failed its recomputation")
-            return PositivityResult(False, witness)
-    return PositivityResult(True, None)
+    # A is irreducible, so the k-block graph is strongly connected: one search reaches every cycle
+    cycle = _negative_cycle(successors, weight)
+    if cycle is None:
+        return PositivityResult(True, None)
+    witness = lex_min_rotation(tuple(words[v][0] for v in cycle))
+    if orbit_sum(a, fn, witness) >= 0:
+        raise VerificationError("negative-cycle witness failed its recomputation")
+    return PositivityResult(False, witness)

@@ -165,36 +165,25 @@ def decide_coe(a, b, torsion_bound: int = 512) -> EquivalenceDecision:
     """Decide continuous orbit equivalence of two one-sided shifts.
 
     True exactly when the pointed Bowen-Franks groups of the transposes
-    are isomorphic and the determinants of id - A agree.  Accepts matrices
-    or precomputed invariants.
+    are isomorphic and the determinants of id - A agree: flow equivalence
+    plus one pointed check.  Accepts matrices or precomputed invariants.
     """
-    left = _as_invariant(a)
-    right = _as_invariant(b)
-    groups_ok = is_isomorphic(left.group, right.group)
-    dets_ok = left.det_value == right.det_value
-    if not groups_ok:
-        reason = "Bowen-Franks groups are not isomorphic"
-        pointed_ok = False
-    elif not dets_ok:
-        reason = "determinants of id - A differ"
-        pointed_ok = False
+    flow = decide_flow(a, b)
+    pointed_ok = flow.equivalent and pointed_is_isomorphic(
+        flow.left.pointed, flow.right.pointed, torsion_bound=torsion_bound
+    )
+    if not flow.equivalent:
+        reason = flow.reason
+    elif pointed_ok:
+        reason = "pointed Bowen-Franks groups isomorphic and determinants equal"
     else:
-        pointed_ok = pointed_is_isomorphic(left.pointed, right.pointed, torsion_bound=torsion_bound)
-        reason = (
-            "pointed Bowen-Franks groups isomorphic and determinants equal"
-            if pointed_ok
-            else "no group isomorphism carries one distinguished element to the other"
-        )
+        reason = "no group isomorphism carries one distinguished element to the other"
     return EquivalenceDecision(
-        equivalent=groups_ok and dets_ok and pointed_ok,
+        equivalent=pointed_ok,
         reason=reason,
-        left=left,
-        right=right,
-        checks=(
-            ("groups_isomorphic", groups_ok),
-            ("determinants_equal", dets_ok),
-            ("pointed_isomorphic", pointed_ok),
-        ),
+        left=flow.left,
+        right=flow.right,
+        checks=flow.checks + (("pointed_isomorphic", pointed_ok),),
     )
 
 

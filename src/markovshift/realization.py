@@ -136,7 +136,6 @@ def tail_extension(a: NonNegMatrix, c) -> NonNegMatrix:
     states = [(i, j) for i in range(1, a.size + 1) for j in range(c[i - 1] + 1)]
     index = {s: k for k, s in enumerate(states)}
     size = len(states)
-    assert size == a.size + sum(c)
     rows = [[0] * size for _ in range(size)]
     for (i, j), k in index.items():
         if j == c[i - 1]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .errors import DomainError, InadmissibleWordError, PreconditionError, ShapeError
+from .errors import DomainError, InadmissibleWordError, ShapeError
 from .intmat import IntMatrix
 
 
@@ -66,7 +66,7 @@ class NonNegMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]):
-        return cls(tuple(tuple(map(int, row)) for row in rows))
+        return cls(tuple(map(tuple, rows)))
 
     @property
     def size(self) -> int:
@@ -252,18 +252,6 @@ def is_permutation_matrix(a: NonNegMatrix) -> bool:
     return all(sum(row[j] for row in a.entries) == 1 for j in range(n))
 
 
-def satisfies_condition_I(a: NonNegMatrix) -> bool:
-    """True when the shift space has no isolated points.
-
-    For an irreducible matrix this holds exactly when the matrix is not a
-    permutation matrix: a permutation gives a finite set of periodic
-    points, anything else gives a perfect space.
-    """
-    if not is_irreducible(a):
-        raise PreconditionError("condition (I) test requires an irreducible matrix")
-    return not is_permutation_matrix(a)
-
-
 @dataclass(frozen=True)
 class Issue:
     code: str
@@ -412,29 +400,46 @@ def admissible_words(a: ZeroOneMatrix, k: int) -> list[tuple[int, ...]]:
     """All admissible words of length k, in lexicographic order."""
     if k < 1:
         raise DomainError("word length must be at least 1")
+    adj = _adjacency(a)
     words: list[tuple[int, ...]] = [(s,) for s in range(1, a.size + 1)]
     for _ in range(k - 1):
-        words = [w + (s,) for w in words for s in range(1, a.size + 1) if a.allows(w[-1], s)]
+        words = [w + (t + 1,) for w in words for t in adj[w[-1] - 1]]
     return words
+
+
+def block_graph(a: ZeroOneMatrix, k: int) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """The k-block graph: its nodes and, for each node, its successors.
+
+    Nodes are the admissible k-words in lexicographic order.  Word w can be
+    followed by w' when they overlap in k - 1 symbols and the joined
+    (k + 1)-word is admissible; the successors of each word are listed as
+    ascending indices into the word list.
+    """
+    if k == 1:
+        return [(s,) for s in range(1, a.size + 1)], _adjacency(a)
+    words = admissible_words(a, k)
+    # indices are appended in word order, so each successor list ascends
+    by_prefix: dict[tuple[int, ...], list[int]] = {}
+    for i, w in enumerate(words):
+        by_prefix.setdefault(w[:-1], []).append(i)
+    return words, [by_prefix[w[1:]] for w in words]
 
 
 def higher_block(a: ZeroOneMatrix, k: int) -> ZeroOneMatrix:
     """Recode on overlapping k-blocks; k = 1 returns the matrix itself.
 
-    States are the admissible k-words in lexicographic order; w can be
-    followed by w' when they overlap in k - 1 symbols and the joined
-    (k + 1)-word is admissible.
+    States are the admissible k-words in lexicographic order, with the
+    transitions of their k-block graph (`block_graph`).
     """
     if k == 1:
         return a if isinstance(a, ZeroOneMatrix) else ZeroOneMatrix(a.entries)
-    words = admissible_words(a, k)
+    words, successors = block_graph(a, k)
     if len(words) < 2:
         raise DomainError("higher block recoding needs at least 2 admissible words")
-    rows = tuple(
-        tuple(
-            1 if w[1:] == w2[:-1] and a.allows(w[-1], w2[-1]) else 0
-            for w2 in words
-        )
-        for w in words
-    )
-    return ZeroOneMatrix(rows)
+    rows = []
+    for targets in successors:
+        row = [0] * len(words)
+        for j in targets:
+            row[j] = 1
+        rows.append(tuple(row))
+    return ZeroOneMatrix(tuple(rows))

@@ -24,7 +24,6 @@ from markovshift import (
     point_vector,
     pointed_is_isomorphic,
     realize,
-    satisfies_condition_I,
     tail_extension,
     validate,
 )
@@ -228,7 +227,6 @@ class TestRealize:
             matrix, plan = realize(group, point, sign)
             assert validate(matrix).classifiable
             assert is_irreducible(matrix)
-            assert satisfies_condition_I(matrix)
             inv = plan.invariant
             assert inv.group == group and inv.sign == sign
             assert pointed_is_isomorphic(inv.pointed, PointedGroup(group, point))

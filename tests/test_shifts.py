@@ -7,7 +7,6 @@ from markovshift import (
     DomainError,
     InadmissibleWordError,
     NonNegMatrix,
-    PreconditionError,
     ShapeError,
     Word,
     ZeroOneMatrix,
@@ -24,7 +23,6 @@ from markovshift import (
     lex_min_rotation,
     period_of,
     periodic_orbit_words,
-    satisfies_condition_I,
     validate,
 )
 
@@ -73,12 +71,15 @@ class TestMatrixTypes:
             (NonNegMatrix, ((1, 0), (1, 0)), DomainError, "column 2 is identically zero"),
             (NonNegMatrix, ((1, 1), (-2, True)), DomainError, "negative entry -2 in row 2"),
             (NonNegMatrix, ((1, False), (-2, 1)), ShapeError, "entry False is not an integer"),
+            (ZeroOneMatrix, ((1.9, 1), (1, 0.5)), ShapeError, "entry 1.9 is not an integer"),
+            (NonNegMatrix, (("2", 1), (1, 1)), ShapeError, "entry '2' is not an integer"),
         ],
     )
     def test_first_bad_entry_is_named(self, cls, entries, error, message):
-        with pytest.raises(error) as info:
-            cls(entries)
-        assert str(info.value) == message
+        for build in (cls, cls.from_rows):
+            with pytest.raises(error) as info:
+                build(entries)
+            assert str(info.value) == message
 
     def test_int_subclass_entries_accepted(self):
         class Count(int):
@@ -159,17 +160,13 @@ class TestIrreducibility:
 
 class TestConditionI:
     def test_full_shift(self):
-        assert satisfies_condition_I(FULL2)
+        assert validate(FULL2).classifiable
 
     def test_two_cycle(self):
-        assert not satisfies_condition_I(ZeroOneMatrix.from_rows(PERM))
+        assert not validate(ZeroOneMatrix.from_rows(PERM)).classifiable
 
     def test_golden_mean(self):
-        assert satisfies_condition_I(GOLDEN)
-
-    def test_requires_irreducible(self):
-        with pytest.raises(PreconditionError):
-            satisfies_condition_I(NonNegMatrix.from_rows([[1, 1], [0, 1]]))
+        assert validate(GOLDEN).classifiable
 
     def test_agrees_with_forced_path_oracle(self):
         # an isolated point exists iff some 12-step forward path is forced;
@@ -200,11 +197,11 @@ class TestConditionI:
                 m = ZeroOneMatrix.from_rows(rows)
                 if not is_irreducible(m):
                     continue
-                assert satisfies_condition_I(m) == (not forced_path_exists(m))
+                assert validate(m).classifiable == (not forced_path_exists(m))
         rng = random.Random(2)
         for _ in range(20):
             m = random_zero_one(rng, 4)
-            assert satisfies_condition_I(m) == (not forced_path_exists(m))
+            assert validate(m).classifiable == (not forced_path_exists(m))
 
 
 class TestWords:
@@ -228,6 +225,15 @@ class TestWords:
                     )
         assert not is_admissible(cases[0], (1, 4))
         assert not is_cyclically_admissible(cases[0], ())
+
+    def test_admissible_words_against_brute_force(self):
+        rng = random.Random(79)
+        cases = [FULL2, GOLDEN]
+        cases += [random_zero_one(rng, rng.randint(2, 5), rng.choice((0.3, 0.5))) for _ in range(30)]
+        for m in cases:
+            for k in range(1, 5):
+                expected = [w for w in product(range(1, m.size + 1), repeat=k) if is_admissible(m, w)]
+                assert admissible_words(m, k) == expected
 
     def test_word_factory(self):
         w = Word.admissible(GOLDEN, (1, 2))
@@ -410,3 +416,23 @@ class TestHigherBlock:
                 blocked = higher_block(m, k)
                 for p in range(1, 9):
                     assert count_period_points(m, p) == count_period_points(blocked, p)
+
+    def test_follower_pairs_against_word_overlaps(self):
+        rng = random.Random(416)
+        for _ in range(200):
+            m = random_zero_one(rng, rng.randint(2, 6), rng.choice((0.3, 0.5)))
+            for k in (2, 3):
+                words = admissible_words(m, k)
+                assert higher_block(m, k).entries == tuple(
+                    tuple(int(w[1:] == w2[:-1] and m.allows(w[-1], w2[-1])) for w2 in words)
+                    for w in words
+                )
+
+    def test_irreducible_input_gives_irreducible_blocks(self):
+        # the k-block graph of an irreducible matrix is one strongly connected
+        # component, which is why positivity runs a single negative-cycle search
+        rng = random.Random(417)
+        for _ in range(100):
+            m = random_zero_one(rng, rng.randint(2, 7), rng.choice((0.2, 0.3, 0.5)))
+            for k in (1, 2, 3):
+                assert is_irreducible(higher_block(m, k))
