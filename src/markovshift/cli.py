@@ -2,8 +2,8 @@
 
 Subcommands: validate, invariant, coe, flow, realize, positivity,
 periodic.  Exit codes: 0 for success or a positive decision, 1 for a
-negative decision, 2 for invalid input, 3 when a decision procedure hit
-its search bound, 4 for an I/O or internal error.  Reports are
+negative decision, 2 for invalid input, 4 for an I/O or internal error.
+Every decision is exact, so no command answers "undecided".  Reports are
 deterministic; ``--json`` switches to the machine-readable form used by
 golden tests.
 """
@@ -22,7 +22,6 @@ from .errors import (
     ParseError,
     PreconditionError,
     ShapeError,
-    UndecidedError,
     UnsupportedError,
     VerificationError,
 )
@@ -46,7 +45,6 @@ from .shifts import (
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INVALID = 2
-EXIT_UNDECIDED = 3
 EXIT_ERROR = 4
 
 # the distinguished element always lives in the presentation by id - A^t
@@ -129,7 +127,7 @@ def _decision_report(name, echo_a, echo_b, outcome) -> dict:
 def _cmd_coe(args) -> tuple[dict, int]:
     matrix_a, echo_a = _load_matrix(args.matrix_a)
     matrix_b, echo_b = _load_matrix(args.matrix_b)
-    outcome = decide_coe(matrix_a, matrix_b, torsion_bound=args.pointed_bound)
+    outcome = decide_coe(matrix_a, matrix_b)
     report = _decision_report("coe", echo_a, echo_b, outcome)
     return report, EXIT_OK if outcome.equivalent else EXIT_NEGATIVE
 
@@ -167,7 +165,7 @@ def _cmd_realize(args) -> tuple[dict, int]:
         )
     point = group.element(coords[: group.free_rank], coords[group.free_rank :])
     try:
-        matrix, plan = realize(group, point, args.sign, torsion_bound=args.pointed_bound)
+        matrix, plan = realize(group, point, args.sign)
     except PreconditionError as exc:
         raise _InvalidInput(str(exc)) from None
     if args.output:
@@ -330,13 +328,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit the machine-readable report")
     common.add_argument("--timing", action="store_true", help="include elapsed time in the report")
-    common.add_argument(
-        "--pointed-bound",
-        type=int,
-        default=512,
-        metavar="N",
-        help="torsion size limit for the pointed-isomorphism search (default 512)",
-    )
     parser = argparse.ArgumentParser(
         prog="markovshift",
         description="Invariants, equivalence decisions and realizations for topological Markov shifts",
@@ -393,9 +384,6 @@ def main(argv=None) -> int:
     except (_InvalidInput, PreconditionError, ShapeError, DomainError, UnsupportedError) as exc:
         report = {"command": args.subcommand, "error": {"kind": "invalid_input", "message": str(exc)}}
         code = EXIT_INVALID
-    except UndecidedError as exc:
-        report = {"command": args.subcommand, "error": {"kind": "undecided", "message": str(exc)}}
-        code = EXIT_UNDECIDED
     except OSError as exc:
         report = {"command": args.subcommand, "error": {"kind": "io_error", "message": str(exc)}}
         code = EXIT_ERROR

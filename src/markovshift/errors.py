@@ -26,9 +26,11 @@ class UnsupportedError(MarkovShiftError):
 
 
 class UndecidedError(MarkovShiftError):
-    """The decision procedure hit its configured search bound.
+    """A decision procedure could not decide an instance.
 
-    Raised instead of guessing; callers can retry with a larger bound.
+    Every decision in the package is exact, so no library path raises
+    this.  It stays exported because the benchmark names it as the
+    failure it tolerates.
     """
 
 

@@ -2,20 +2,22 @@
 
 A group is written Z^r x Z/m1 x ... x Z/mk with m1 | m2 | ... | mk and
 every mi >= 2; this canonical shape is a complete isomorphism invariant.
-Elements are coordinate tuples, torsion coordinates reduced modulo their
-factor.  The pointed decision (is there an isomorphism carrying one
-distinguished element to the other?) works through prime-power heights,
-which classify automorphism orbits in finite abelian p-groups.
+Elements are integer coordinate tuples, torsion coordinates reduced
+modulo their factor.  The pointed decision (is there an isomorphism
+carrying one distinguished element to the other?) is one comparison in
+closed form: the content of the free part, then per-prime height
+sequences, which classify automorphism orbits in finite abelian p-groups
+(Hillar & Rhea 2007), taken of the least-height element of a coset.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, count, product
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DomainError, ShapeError, UndecidedError, UnsupportedError
+from .errors import DomainError, ShapeError, UnsupportedError
 from .intmat import IntMatrix, SnfResult, smith_normal_form
 
 INFINITE = math.inf
@@ -25,15 +27,21 @@ def _factorize(n: int) -> dict[int, int]:
     if n < 1:
         raise DomainError(f"cannot factorize {n}")
     out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
+    for d in chain((2,), count(3, 2)):
+        if d * d > n:
+            break
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
-        d += 1
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def _check_ints(what: str, values: Iterable) -> None:
+    for x in values:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise ShapeError(f"{what} {x!r} is not an integer")
 
 
 def _is_prime(p: int) -> bool:
@@ -56,6 +64,8 @@ class FgAbelianGroup:
     torsion_factors: tuple[int, ...] = ()
 
     def __post_init__(self):
+        _check_ints("free rank", (self.free_rank,))
+        _check_ints("torsion factor", self.torsion_factors)
         if self.free_rank < 0:
             raise DomainError("free rank must be nonnegative")
         prev = 1
@@ -88,9 +98,10 @@ class FgAbelianGroup:
                 f"element coordinates ({len(free)} free, {len(torsion)} torsion) do not match "
                 f"group with {self.free_rank} free and {len(self.torsion_factors)} torsion factors"
             )
+        _check_ints("free coordinate", free)
+        _check_ints("torsion coordinate", torsion)
         return GroupElement(
-            tuple(int(x) for x in free),
-            tuple(int(x) % m for x, m in zip(torsion, self.torsion_factors)),
+            tuple(free), tuple(x % m for x, m in zip(torsion, self.torsion_factors))
         )
 
     def zero(self) -> GroupElement:
@@ -299,52 +310,43 @@ def _primary_parts(factors: Sequence[int]):
     return tuple((p, tuple(ks)) for p, ks in sorted(parts.items()))
 
 
-def _orbit_profile(parts, coords: Sequence[int]):
-    """Automorphism-orbit invariant: per-prime height sequences."""
-    return tuple(
-        (p, _heights(p, [e for _, e in ks], [coords[k] % p**e for k, e in ks]))
-        for p, ks in parts
-    )
+def _orbit_profile(parts, coords: Sequence[int], d: int):
+    """Orbit invariant of the coset coords + d*T: per-prime height sequences.
+
+    In the p-part, d*T = p^k*T_p with k = v_p(d) (no coset for d = 0).  The
+    coset holds every element that agrees with coords on the coordinates of
+    valuation < k and has valuation >= k, or is 0, on the others; setting
+    those to p^k (0 once k >= e) gives its element of pointwise least
+    heights.  Automorphisms carry cosets of p^k*T to cosets and keep
+    heights, so two cosets share an orbit exactly when these agree.  The
+    exponents e matter: in Z/2 x Z/4 with d = 2, (1, 0) and (0, 1) share an
+    orbit of T/2T but not modulo 2T.
+    """
+    profile = []
+    for p, ks in parts:
+        exps = [e for _, e in ks]
+        cut = [coords[i] % p**e for i, e in ks]
+        if d:
+            k = _p_valuation(p, d)
+            cut = [c if c and _p_valuation(p, c) < k else p**k % p**e for c, e in zip(cut, exps)]
+        profile.append((p, _heights(p, exps, cut)))
+    return tuple(profile)
 
 
-def _free_content(coords: Sequence[int]) -> int:
-    return math.gcd(*coords) if coords else 0
+def pointed_is_isomorphic(a: PointedGroup, b: PointedGroup) -> bool:
+    """Decide exactly whether some isomorphism carries a.point to b.point.
 
-
-def pointed_is_isomorphic(a: PointedGroup, b: PointedGroup, torsion_bound: int = 512) -> bool:
-    """Decide whether some isomorphism carries a.point to b.point.
-
-    Pure torsion groups are decided by per-prime height sequences.  With a
-    free part, the orbit of a point is determined by the gcd of its free
-    coordinates (its content d) together with the coset of its torsion
-    component modulo d times the torsion subgroup; the coset test
-    enumerates the torsion subgroup, so groups whose torsion part exceeds
-    ``torsion_bound`` raise UndecidedError rather than guess.
+    An automorphism of Z^r x T sends (f, t) to (Af, phi(f) + alpha t), with
+    A in GL_r(Z), phi: Z^r -> T any map and alpha in Aut(T).  So (f, t) and
+    (g, s) share an orbit exactly when f and g have the same content d (gcd
+    of the free coordinates, 0 for none) and some alpha puts alpha t in
+    s + d*T, which ``_orbit_profile`` decides with no search.
     """
     if not is_isomorphic(a.group, b.group):
         return False
-    g = a.group
-    factors = g.torsion_factors
-    ta, tb = a.point.torsion_coords, b.point.torsion_coords
-    d = _free_content(a.point.free_coords)
-    if d != _free_content(b.point.free_coords):
+    d = math.gcd(*a.point.free_coords)
+    if d != math.gcd(*b.point.free_coords):
         return False
-    if not factors:
-        return True
-    parts = _primary_parts(factors)
-    if d == 0:
-        return _orbit_profile(parts, ta) == _orbit_profile(parts, tb)
-    size = math.prod(factors)
-    if size > torsion_bound:
-        raise UndecidedError(
-            f"undecided: torsion part of order {size} exceeds the search bound {torsion_bound}"
-        )
-    # y runs over the automorphism orbit of ta; accept if some y lands in
-    # tb + d*T, i.e. matches tb componentwise modulo gcd(d, mi)
-    target = _orbit_profile(parts, ta)
-    mods = tuple(math.gcd(d, m) for m in factors)
-    for y in product(*(range(m) for m in factors)):
-        if all((yc - tc) % md == 0 for yc, tc, md in zip(y, tb, mods)):
-            if _orbit_profile(parts, y) == target:
-                return True
-    return False
+    parts = _primary_parts(a.group.torsion_factors)
+    ta, tb = a.point.torsion_coords, b.point.torsion_coords
+    return _orbit_profile(parts, ta, d) == _orbit_profile(parts, tb, d)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from math import prod
 from typing import Iterable, Sequence
 
@@ -192,9 +192,11 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     and no later operation changes that: a row operation then adds only
     rows >= t, which are zero left of column t, and a column operation only
     columns >= t, which are zero above row t.  So later operations update
-    only rows and columns >= t, and adding a multiple of column t touches
-    only the rows where column t is nonzero.  Every skipped update would add
-    zero, so D and the recorded operations are those of the full updates.
+    only rows and columns >= t, adding a multiple of column t touches only
+    the rows where column t is nonzero, and adding a multiple of a row
+    touches only the columns where that row is nonzero.  Every skipped
+    update would add zero, so D and the recorded operations are those of
+    the full updates.
     A pivot of +-1 divides every entry, so its divisibility scan is skipped.
     """
     r, c = m.rows, m.cols
@@ -213,10 +215,12 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
         col_ops.append((_SWAP, i, j, 0))
 
     def add_row(dst: int, src: int, q: int) -> None:
-        # row_dst += q * row_src; both rows are zero left of column t
+        # row_dst += q * row_src, on the columns >= t where row_src is nonzero
         if q == 0:
             return
-        a[dst][t:] = [x + q * y for x, y in zip(a[dst][t:], a[src][t:])]
+        row, source = a[dst], a[src]
+        for j in compress(range(t, c), source[t:]):
+            row[j] += q * source[j]
         row_ops.append((_ADD, dst, src, q))
 
     def add_col(dst: int, q: int) -> None:

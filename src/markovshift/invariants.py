@@ -161,7 +161,7 @@ class EquivalenceDecision:
         }
 
 
-def decide_coe(a, b, torsion_bound: int = 512) -> EquivalenceDecision:
+def decide_coe(a, b) -> EquivalenceDecision:
     """Decide continuous orbit equivalence of two one-sided shifts.
 
     True exactly when the pointed Bowen-Franks groups of the transposes
@@ -169,9 +169,7 @@ def decide_coe(a, b, torsion_bound: int = 512) -> EquivalenceDecision:
     plus one pointed check.  Accepts matrices or precomputed invariants.
     """
     flow = decide_flow(a, b)
-    pointed_ok = flow.equivalent and pointed_is_isomorphic(
-        flow.left.pointed, flow.right.pointed, torsion_bound=torsion_bound
-    )
+    pointed_ok = flow.equivalent and pointed_is_isomorphic(flow.left.pointed, flow.right.pointed)
     if not flow.equivalent:
         reason = flow.reason
     elif pointed_ok:

@@ -150,7 +150,6 @@ def realize(
     group: FgAbelianGroup,
     point: GroupElement,
     sign: int,
-    torsion_bound: int = 512,
 ) -> tuple[ZeroOneMatrix, RealizationPlan]:
     """Construct an irreducible 0/1 matrix whose invariant triple is given.
 
@@ -172,7 +171,7 @@ def realize(
         raise VerificationError(f"realized matrix failed validation: {exc}") from exc
     if inv.group != group or inv.sign != sign:
         raise VerificationError("realized matrix has the wrong group or sign")
-    if not pointed_is_isomorphic(inv.pointed, PointedGroup(group, point), torsion_bound=torsion_bound):
+    if not pointed_is_isomorphic(inv.pointed, PointedGroup(group, point)):
         raise VerificationError("realized matrix does not carry the requested distinguished element")
     plan = RealizationPlan(
         d_list=d, c_vector=c, base=base, extended=extended, final=final, invariant=inv

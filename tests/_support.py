@@ -337,3 +337,25 @@ def orbit_brute_force(a: PointedGroup, b: PointedGroup, bound: int = 512) -> boo
         return False
     orbit = aut_orbit(a.group.torsion_factors, a.point.torsion_coords)
     return b.point.torsion_coords in orbit
+
+
+def pointed_orbit_brute_force(a: PointedGroup, b: PointedGroup) -> bool:
+    """Pointed-isomorphism oracle for Z^r x T with a small torsion part T.
+
+    An automorphism sends (f, t) to (Af, phi(f) + alpha t), so (f, t) and
+    (g, s) share an orbit exactly when f and g have the same content d and
+    some y in the Aut(T)-orbit of t lies in s + d*T, that is, agrees with s
+    modulo gcd(d, mi) in every coordinate.  The orbit is ``aut_orbit``.
+    """
+    if not is_isomorphic(a.group, b.group):
+        return False
+    d = math.gcd(*a.point.free_coords)
+    if d != math.gcd(*b.point.free_coords):
+        return False
+    factors = a.group.torsion_factors
+    mods = [math.gcd(d, m) for m in factors]
+    target = b.point.torsion_coords
+    return any(
+        all((y - s) % m == 0 for y, s, m in zip(ys, target, mods))
+        for ys in aut_orbit(factors, a.point.torsion_coords)
+    )

@@ -150,11 +150,11 @@ def test_criterion_04_pointed_decision_vs_brute_force():
             parts = _primary_parts(factors)
             by_profile: dict[object, set] = {}
             for x in elements:
-                key = _orbit_profile(parts, x.torsion_coords)
+                key = _orbit_profile(parts, x.torsion_coords, 0)
                 by_profile.setdefault(key, set()).add(x.torsion_coords)
             for x in elements:
                 closure = aut_orbit(factors, x.torsion_coords)
-                height_class = by_profile[_orbit_profile(parts, x.torsion_coords)]
+                height_class = by_profile[_orbit_profile(parts, x.torsion_coords, 0)]
                 assert closure == frozenset(height_class)
             pointed_elements.extend(PointedGroup(group, x) for x in elements)
         for a in pointed_elements:

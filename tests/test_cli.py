@@ -131,8 +131,8 @@ class TestEquivalenceCommands:
         assert run_cli("flow", corpus["full2"], corpus["golden"]).returncode == 0
         assert run_cli("flow", corpus["full2"], corpus["full3"]).returncode == 1
 
-    def test_undecided_exit_3(self, corpus, tmp_path):
-        # realize Z + Z/4 with a content-2 point, then force a tiny search bound
+    def test_mixed_point_decided_without_a_bound(self, corpus, tmp_path):
+        # realize Z + Z/4 with a content-2 point; no flag bounds the decision
         target = tmp_path / "mixed.txt"
         out = run_cli(
             "realize",
@@ -145,9 +145,9 @@ class TestEquivalenceCommands:
         assert out.returncode == 0
         decided = run_cli("coe", str(target), str(target))
         assert decided.returncode == 0
-        bounded = run_cli("coe", str(target), str(target), "--pointed-bound", "1")
-        assert bounded.returncode == 3
-        assert "undecided" in bounded.stdout
+        removed = run_cli("coe", str(target), str(target), "--pointed-bound", "1")
+        assert removed.returncode == 2
+        assert "--pointed-bound" in removed.stderr
 
 
 class TestRealizeCommand:
@@ -170,6 +170,21 @@ class TestRealizeCommand:
         check = run_cli("invariant", str(target), "--json")
         inv = json.loads(check.stdout)["invariant"]
         assert inv["group"] == "Z/3" and inv["sign"] == 1 and inv["point_torsion"] == [0]
+
+    def test_z_plus_large_torsion_verifies(self):
+        # |T| = 729: the pointed check of the realized matrix is exact
+        out = run_cli(
+            "realize",
+            "--free-rank", "1",
+            "--torsion", "3,3,3,3,3,3",
+            "--point", "1,1,0,0,0,0,0",
+            "--sign", "0",
+            "--json",
+        )
+        assert out.returncode == 0
+        report = json.loads(out.stdout)
+        assert report["verification"]["matched"] is True
+        assert report["verification"]["invariant"]["group"] == "Z + Z/3 + Z/3 + Z/3 + Z/3 + Z/3 + Z/3"
 
     def test_infinite_needs_sign_zero(self):
         out = run_cli("realize", "--free-rank", "1", "--sign", "1")

@@ -11,7 +11,6 @@ from markovshift import (
     IntMatrix,
     PointedGroup,
     ShapeError,
-    UndecidedError,
     UnsupportedError,
     canonical_group,
     from_presentation,
@@ -31,6 +30,7 @@ from _support import (
     elementary_automorphisms,
     literal_automorphism_tuples,
     orbit_brute_force,
+    pointed_orbit_brute_force,
     random_int_matrix,
     solve_linear,
 )
@@ -262,21 +262,37 @@ class TestPointedIsomorphic:
                     for k in range(len(points)):
                         assert related[(j, k)] == related[(i, k)]
 
-    def test_undecided_beyond_bound(self):
+    def test_large_torsion_with_free_part(self):
+        # |T| = 1024 with content 2: the coset 1 + 2T holds every odd
+        # element, 2 + 2T none of them
         g = FgAbelianGroup(1, (1024,))
         a = PointedGroup(g, g.element((2,), (1,)))
-        b = PointedGroup(g, g.element((2,), (3,)))
-        with pytest.raises(UndecidedError):
-            pointed_is_isomorphic(a, b, torsion_bound=512)
-        # a larger bound resolves the same instance
-        assert isinstance(pointed_is_isomorphic(a, b, torsion_bound=2048), bool)
+        assert pointed_is_isomorphic(a, PointedGroup(g, g.element((2,), (3,))))
+        assert not pointed_is_isomorphic(a, PointedGroup(g, g.element((2,), (2,))))
+
+    def test_coset_orbits_keep_the_exponents(self):
+        # (1, 0) and (0, 1) share an orbit of T/2T = (Z/2)^2, but 1 has order
+        # 2 in Z/2 and every element of 1 + 2(Z/4) has order 4
+        a = pointed((2, 4), (1, 0), free_rank=1, free=(2,))
+        b = pointed((2, 4), (0, 1), free_rank=1, free=(2,))
+        assert not pointed_is_isomorphic(a, b)
+        assert not pointed_orbit_brute_force(a, b)
+
+    def test_content_one_reaches_every_torsion_part(self):
+        # Z + (Z/3)^6, |T| = 729: with content 1 the shear reaches every
+        # torsion part, with content 3 none but the torsion orbit
+        a = pointed((3,) * 6, (1, 0, 0, 0, 0, 0), free_rank=1, free=(1,))
+        b = pointed((3,) * 6, (0, 0, 0, 0, 0, 0), free_rank=1, free=(-1,))
+        assert pointed_is_isomorphic(a, b)
+        c = pointed((3,) * 6, (0, 0, 0, 0, 0, 0), free_rank=1, free=(3,))
+        assert not pointed_is_isomorphic(a, c)
 
     def test_factorizes_each_torsion_factor_once(self, monkeypatch):
         calls = count_calls(monkeypatch, markovshift.groups, "_factorize")
         m = 2 * 1099511627791
         assert pointed_is_isomorphic(pointed((m,), (1,)), pointed((m,), (3,)))
         assert calls == [m]
-        # the coset search reuses the split for every element it visits
+        # both cosets' profiles share one split
         calls.clear()
         assert pointed_is_isomorphic(
             pointed((4, 12), (1, 1), 1, (2,)), pointed((4, 12), (3, 7), 1, (2,))
@@ -327,14 +343,39 @@ class TestAgreementSweep:
             parts = _primary_parts(factors)
             by_profile = {}
             for x in elements:
-                by_profile.setdefault(_orbit_profile(parts, x.torsion_coords), set()).add(
+                by_profile.setdefault(_orbit_profile(parts, x.torsion_coords, 0), set()).add(
                     x.torsion_coords
                 )
             for x in elements:
                 orbit = aut_orbit(factors, x.torsion_coords)
                 # sandwich: closure is contained in the true orbit, which is
                 # contained in the height class; equality pins both
-                assert orbit == frozenset(by_profile[_orbit_profile(parts, x.torsion_coords)])
+                assert orbit == frozenset(by_profile[_orbit_profile(parts, x.torsion_coords, 0)])
+
+
+class TestMixedAgreementSweep:
+    def test_pointed_matches_coset_oracle_with_free_part(self):
+        # every shape with |T| <= 16, free rank 1 and 2, contents 0..2*exponent
+        # and |T|, every pair of torsion parts under equal contents
+        pairs = 0
+        for factors in all_shapes_up_to(16):
+            order = math.prod(factors)
+            exponent = factors[-1] if factors else 1
+            elements = list(product(*(range(m) for m in factors)))
+            for rank in (1, 2):
+                g = FgAbelianGroup(rank, factors)
+                for d in sorted(set(range(2 * exponent + 1)) | {order}):
+                    free_a = (d,) + (0,) * (rank - 1)
+                    free_b = (-d,) if rank == 1 else (2 * d, 3 * d)
+                    for t in elements:
+                        a = PointedGroup(g, g.element(free_a, t))
+                        for s in elements:
+                            b = PointedGroup(g, g.element(free_b, s))
+                            assert pointed_is_isomorphic(a, b) == pointed_orbit_brute_force(
+                                a, b
+                            ), (factors, rank, d, t, s)
+                            pairs += 1
+        assert pairs > 100_000
 
 
 class TestTensorZ2:
@@ -361,6 +402,25 @@ class TestGroupArithmetic:
         elements = list(g.all_elements())
         assert len(elements) == g.order() == 12
         assert len(set(elements)) == 12
+
+    def test_rejects_non_integer_coordinates(self):
+        g = FgAbelianGroup(1, (3,))
+        for free, torsion, bad in [
+            ((1.9,), (2,), "1.9"),
+            ((1,), (2.7,), "2.7"),
+            ((True,), (2,), "True"),
+            ((1,), ("2",), "'2'"),
+        ]:
+            with pytest.raises(ShapeError, match=bad):
+                g.element(free, torsion)
+
+    def test_rejects_non_integer_shape(self):
+        with pytest.raises(ShapeError, match="torsion factor 3.0"):
+            FgAbelianGroup(0, (3.0,))
+        with pytest.raises(ShapeError, match="free rank True"):
+            FgAbelianGroup(True)
+        with pytest.raises(ShapeError, match="free rank '1'"):
+            FgAbelianGroup("1")
 
     def test_add_negate(self):
         g = FgAbelianGroup(1, (5,))

@@ -8,6 +8,7 @@ import markovshift.intmat
 import markovshift.realization
 from markovshift import (
     FgAbelianGroup,
+    GroupElement,
     PointedGroup,
     PreconditionError,
     ShapeError,
@@ -234,6 +235,10 @@ class TestRealize:
     def test_rejects_inadmissible_triples(self):
         with pytest.raises(PreconditionError):
             realize(FgAbelianGroup(1), FgAbelianGroup(1).zero(), 1)
+
+    def test_rejects_non_integer_point(self):
+        with pytest.raises(ShapeError, match="free coordinate 1.5"):
+            realize(FgAbelianGroup(1, (3,)), GroupElement((1.5,), (1,)), 0)
 
     def test_round_trip_family(self):
         rng = random.Random(2024)
