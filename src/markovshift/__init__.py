@@ -22,7 +22,6 @@ from .errors import (
     PreconditionError,
     ShapeError,
     UndecidedError,
-    UnsupportedError,
     VerificationError,
 )
 from .groups import (
@@ -30,10 +29,7 @@ from .groups import (
     GroupElement,
     PointedGroup,
     Presentation,
-    canonical_group,
     from_presentation,
-    height_sequence,
-    is_isomorphic,
     pointed_is_isomorphic,
     tensor_z2,
 )
@@ -41,32 +37,24 @@ from .intmat import IntMatrix, SnfResult, determinant, smith_normal_form
 from .invariants import (
     EquivalenceDecision,
     MarkovInvariant,
-    bowen_franks,
     decide_coe,
     decide_flow,
     full_group_abelianization,
     invariant_triple,
-    k_groups,
 )
 from .realization import RealizationPlan, base_matrix, choose_shape, point_vector, realize, tail_extension
 from .shifts import (
     Diagnostics,
-    EventuallyPeriodicPoint,
     NonNegMatrix,
-    Word,
     ZeroOneMatrix,
     admissible_words,
     count_period_points,
     edge_shift,
-    eventually_periodic_point,
     higher_block,
     identity_minus,
-    is_admissible,
     is_cyclically_admissible,
     is_irreducible,
-    least_rotation_period,
     lex_min_rotation,
-    period_of,
     periodic_orbit_words,
     validate,
 )

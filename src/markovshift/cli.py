@@ -22,7 +22,6 @@ from .errors import (
     ParseError,
     PreconditionError,
     ShapeError,
-    UnsupportedError,
     VerificationError,
 )
 from .fileio import (
@@ -381,7 +380,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         report = {"command": args.subcommand, "error": {"kind": "parse_error", "message": str(exc)}}
         code = EXIT_INVALID
-    except (_InvalidInput, PreconditionError, ShapeError, DomainError, UnsupportedError) as exc:
+    except (_InvalidInput, PreconditionError, ShapeError, DomainError) as exc:
         report = {"command": args.subcommand, "error": {"kind": "invalid_input", "message": str(exc)}}
         code = EXIT_INVALID
     except OSError as exc:

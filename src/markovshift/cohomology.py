@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import DomainError, InadmissibleWordError, PreconditionError, VerificationError
+from .intmat import _check_ints
 from .shifts import (
     ZeroOneMatrix,
     admissible_words,
@@ -38,11 +39,12 @@ class LocallyConstantFn:
         for w in self.values:
             if len(w) != self.window:
                 raise DomainError(f"table key {w} does not have window length {self.window}")
+        _check_ints("function value", self.values.values())
 
     @staticmethod
     def over(a: ZeroOneMatrix, window: int, table: Mapping[Sequence[int], int]) -> "LocallyConstantFn":
         """Build a function and check its table covers exactly the admissible words."""
-        normalized = {tuple(w): int(v) for w, v in table.items()}
+        normalized = {tuple(w): v for w, v in table.items()}
         expected = set(admissible_words(a, window))
         given = set(normalized)
         if given != expected:
@@ -55,10 +57,6 @@ class LocallyConstantFn:
                 detail.append(f"{len(extra)} keys are not admissible words, e.g. {extra[:3]}")
             raise DomainError("function table does not match the admissible words: " + "; ".join(detail))
         return LocallyConstantFn(window, normalized)
-
-    @staticmethod
-    def constant(a: ZeroOneMatrix, value: int, window: int = 1) -> "LocallyConstantFn":
-        return LocallyConstantFn.over(a, window, {w: value for w in admissible_words(a, window)})
 
     def value(self, word: Sequence[int]) -> int:
         key = tuple(word)

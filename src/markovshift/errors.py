@@ -21,10 +21,6 @@ class PreconditionError(MarkovShiftError):
     """A documented precondition of an operation does not hold."""
 
 
-class UnsupportedError(MarkovShiftError):
-    """The instance is outside the size class an operation supports."""
-
-
 class UndecidedError(MarkovShiftError):
     """A decision procedure could not decide an instance.
 

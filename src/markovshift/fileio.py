@@ -143,10 +143,3 @@ def parse_function_text(text: str, matrix: ZeroOneMatrix) -> LocallyConstantFn:
 
 def read_function_file(path, matrix: ZeroOneMatrix) -> LocallyConstantFn:
     return parse_function_text(_read_text(path), matrix)
-
-
-def format_function(fn: LocallyConstantFn, alphabet_size: int) -> str:
-    lines = [f"window {fn.window}"]
-    for word in sorted(fn.values):
-        lines.append(f"{format_word(word, alphabet_size)} {fn.values[word]}")
-    return "\n".join(lines) + "\n"

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, count, product
-from typing import Iterable, Iterator, Sequence
+from itertools import chain, count
+from typing import Sequence
 
-from .errors import DomainError, ShapeError, UnsupportedError
-from .intmat import IntMatrix, SnfResult, smith_normal_form
+from .errors import DomainError, ShapeError
+from .intmat import IntMatrix, SnfResult, _check_ints, _is_int, smith_normal_form
 
 INFINITE = math.inf
 
@@ -36,16 +36,6 @@ def _factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
-
-
-def _check_ints(what: str, values: Iterable) -> None:
-    for x in values:
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise ShapeError(f"{what} {x!r} is not an integer")
-
-
-def _is_prime(p: int) -> bool:
-    return p >= 2 and _factorize(p) == {p: 1}
 
 
 @dataclass(frozen=True)
@@ -79,10 +69,6 @@ class FgAbelianGroup:
             prev = m
 
     @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion_factors
-
-    @property
     def is_finite(self) -> bool:
         return self.free_rank == 0
 
@@ -108,32 +94,13 @@ class FgAbelianGroup:
         return GroupElement((0,) * self.free_rank, (0,) * len(self.torsion_factors))
 
     def contains(self, x: GroupElement) -> bool:
+        """True when x has this group's shape, integer coordinates and reduced torsion."""
         return (
             len(x.free_coords) == self.free_rank
             and len(x.torsion_coords) == len(self.torsion_factors)
+            and all(map(_is_int, chain(x.free_coords, x.torsion_coords)))
             and all(0 <= c < m for c, m in zip(x.torsion_coords, self.torsion_factors))
         )
-
-    def add(self, x: GroupElement, y: GroupElement) -> GroupElement:
-        return self.element(
-            tuple(a + b for a, b in zip(x.free_coords, y.free_coords)),
-            tuple(a + b for a, b in zip(x.torsion_coords, y.torsion_coords)),
-        )
-
-    def negate(self, x: GroupElement) -> GroupElement:
-        return self.element(tuple(-a for a in x.free_coords), tuple(-a for a in x.torsion_coords))
-
-    def scale(self, n: int, x: GroupElement) -> GroupElement:
-        return self.element(
-            tuple(n * a for a in x.free_coords), tuple(n * a for a in x.torsion_coords)
-        )
-
-    def all_elements(self) -> Iterator[GroupElement]:
-        """Every element of a finite group, in lexicographic coordinate order."""
-        if not self.is_finite:
-            raise UnsupportedError("cannot enumerate an infinite group")
-        for coords in product(*(range(m) for m in self.torsion_factors)):
-            yield GroupElement((), coords)
 
     def describe(self) -> str:
         parts = []
@@ -155,32 +122,6 @@ class PointedGroup:
     def __post_init__(self):
         if not self.group.contains(self.point):
             raise ShapeError("distinguished element does not match the group shape")
-
-
-def canonical_group(free_rank: int, cyclic_orders: Iterable[int]) -> FgAbelianGroup:
-    """Canonical form of Z^free_rank plus a direct sum of cyclic groups.
-
-    The orders may be arbitrary integers >= 1 in any arrangement; they are
-    split into prime powers and remerged into a divisibility chain.
-    """
-    by_prime: dict[int, list[int]] = {}
-    for n in cyclic_orders:
-        if n < 1:
-            raise DomainError(f"cyclic order {n} is not allowed")
-        for p, e in _factorize(n).items():
-            by_prime.setdefault(p, []).append(e)
-    depth = max((len(v) for v in by_prime.values()), default=0)
-    for exps in by_prime.values():
-        exps.sort(reverse=True)
-    factors = []
-    for i in range(depth):
-        m = 1
-        for p, exps in by_prime.items():
-            if i < len(exps):
-                m *= p ** exps[i]
-        factors.append(m)
-    factors.reverse()
-    return FgAbelianGroup(free_rank, tuple(factors))
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +148,8 @@ class Presentation:
         return self.snf.matrix.rows
 
     def element_from_vector(self, v: Sequence[int]) -> GroupElement:
-        w = self.snf.u_times(tuple(int(x) for x in v))
+        _check_ints("vector entry", v)
+        w = self.snf.u_times(v)
         free = tuple(w[i] for i in self.free_positions)
         torsion = tuple(w[i] for i in self.torsion_positions)
         return self.group.element(free, torsion)
@@ -236,11 +178,6 @@ def from_presentation(m: IntMatrix) -> Presentation:
     return Presentation(snf, group, free_positions, torsion_positions)
 
 
-def is_isomorphic(g: FgAbelianGroup, h: FgAbelianGroup) -> bool:
-    """Canonical forms are complete invariants, so this is equality."""
-    return g == h
-
-
 def tensor_z2(g: FgAbelianGroup) -> FgAbelianGroup:
     """Tensor with Z/2: one Z/2 per free generator and per even factor."""
     count = g.free_rank + sum(1 for m in g.torsion_factors if m % 2 == 0)
@@ -259,32 +196,15 @@ def _p_valuation(p: int, x: int) -> int:
     return v
 
 
-def height_sequence(p: int, factors: Sequence[int], coords: Sequence[int]):
-    """Heights of x, p*x, p^2*x, ... in a finite abelian p-group.
-
-    The height of y is the largest k with y in p^k * G (infinite for 0).
-    The sequence stops at its first infinity.  Two elements of the same
-    finite p-group lie in one automorphism orbit exactly when their
-    sequences agree.
-    """
-    if not _is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    exps = []
-    for m in factors:
-        f = _factorize(m)
-        if set(f) != {p}:
-            raise DomainError(f"factor {m} is not a power of {p}")
-        exps.append(f[p])
-    if len(coords) != len(factors):
-        raise ShapeError("coordinate count does not match factor count")
-    return _heights(p, exps, [c % m for c, m in zip(coords, factors)])
-
-
 def _heights(p: int, exps: Sequence[int], coords: Sequence[int]):
     """Height sequence of coords in the sum of Z/p^e over exps, coords reduced.
 
-    A nonzero coordinate of valuation v in Z/p^e contributes v + k to the
-    height of p^k * x while v + k < e and vanishes after that.
+    The height of y is the largest k with y in p^k * G (infinite for 0);
+    the sequence lists the heights of x, p*x, p^2*x, ... up to its first
+    infinity.  Two elements of one finite p-group lie in one automorphism
+    orbit exactly when their sequences agree.  A nonzero coordinate of
+    valuation v in Z/p^e contributes v + k to the height of p^k * x while
+    v + k < e and vanishes after that.
     """
     live = [(_p_valuation(p, c), e) for c, e in zip(coords, exps) if c != 0]
     seq = []
@@ -342,7 +262,8 @@ def pointed_is_isomorphic(a: PointedGroup, b: PointedGroup) -> bool:
     of the free coordinates, 0 for none) and some alpha puts alpha t in
     s + d*T, which ``_orbit_profile`` decides with no search.
     """
-    if not is_isomorphic(a.group, b.group):
+    # canonical forms are complete invariants, so isomorphic groups are equal
+    if a.group != b.group:
         return False
     d = math.gcd(*a.point.free_coords)
     if d != math.gcd(*b.point.free_coords):

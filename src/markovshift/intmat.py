@@ -21,12 +21,20 @@ from typing import Iterable, Sequence
 from .errors import ShapeError
 
 
-def _check_int(x) -> int:
-    if isinstance(x, bool):
-        return int(x)
-    if not isinstance(x, int):
-        raise ShapeError(f"matrix entries must be integers, got {x!r}")
-    return x
+def _is_int(x) -> bool:
+    """True for an int or an int subclass other than bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_ints(what: str, values: Iterable) -> None:
+    """Raise ShapeError naming the first value that is not an integer.
+
+    Every constructor in the package checks its integer inputs here, so a
+    float is refused, never truncated, and a bool is not read as 0 or 1.
+    """
+    for x in values:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise ShapeError(f"{what} {x!r} is not an integer")
 
 
 @dataclass(frozen=True)
@@ -45,13 +53,10 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[int]]) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(_check_int(x) for x in row) for row in rows))
-
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        if n < 1:
-            raise ShapeError("identity needs n >= 1")
-        return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        entries = tuple(map(tuple, rows))
+        for row in entries:
+            _check_ints("matrix entry", row)
+        return IntMatrix(entries)
 
     @property
     def rows(self) -> int:
@@ -75,11 +80,6 @@ class IntMatrix:
         return IntMatrix(
             tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.entries)
         )
-
-    def mul_vector(self, v: Sequence[int]) -> tuple[int, ...]:
-        if len(v) != self.cols:
-            raise ShapeError(f"vector of length {len(v)} does not fit {self.rows}x{self.cols}")
-        return tuple(sum(a * x for a, x in zip(row, v)) for row in self.entries)
 
     def trace(self) -> int:
         if not self.is_square:
@@ -133,10 +133,6 @@ class SnfResult:
     @property
     def diagonal(self) -> tuple[int, ...]:
         return self.D.diagonal()
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal if d != 0)
 
     @property
     def determinant(self) -> int:

@@ -18,9 +18,7 @@ from .groups import (
     FgAbelianGroup,
     GroupElement,
     PointedGroup,
-    Presentation,
     from_presentation,
-    is_isomorphic,
     pointed_is_isomorphic,
     tensor_z2,
 )
@@ -32,10 +30,6 @@ from .shifts import (
 )
 
 
-def _sign(x: int) -> int:
-    return (x > 0) - (x < 0)
-
-
 @dataclass(frozen=True)
 class MarkovInvariant:
     """Invariant triple (group, point, sign) plus its derived data."""
@@ -43,16 +37,18 @@ class MarkovInvariant:
     group: FgAbelianGroup
     point: GroupElement
     det_value: int
-    sign: int
 
     def __post_init__(self):
-        if self.sign != _sign(self.det_value):
-            raise VerificationError("stored sign disagrees with the determinant")
-        if (self.sign == 0) != (not self.group.is_finite):
+        if (self.det_value == 0) != (not self.group.is_finite):
             raise VerificationError("determinant vanishes exactly for infinite groups")
         order = self.group.order()
         if order is not None and order != abs(self.det_value):
             raise VerificationError("finite group order must equal |det(id - A)|")
+
+    @property
+    def sign(self) -> int:
+        """Sign of det(id - A): -1, 0 or 1."""
+        return (self.det_value > 0) - (self.det_value < 0)
 
     @property
     def k1_rank(self) -> int:
@@ -85,20 +81,6 @@ def _require_classifiable(a: NonNegMatrix) -> None:
         )
 
 
-def _pointed_presentation(a: NonNegMatrix) -> tuple[Presentation, PointedGroup]:
-    pres = from_presentation(identity_minus(a, transpose=True))
-    return pres, PointedGroup(pres.group, pres.element_from_vector((1,) * a.size))
-
-
-def bowen_franks(a: NonNegMatrix) -> PointedGroup:
-    """Bowen-Franks group Z^N / (id - A^t) Z^N pointed at the all-ones class.
-
-    The transpose is the convention under which the distinguished point is
-    meaningful; the plain group is abstractly the same for id - A.
-    """
-    return _pointed_presentation(a)[1]
-
-
 def invariant_triple(a: NonNegMatrix) -> MarkovInvariant:
     """Assemble the full invariant of an irreducible, non-permutation matrix.
 
@@ -106,29 +88,15 @@ def invariant_triple(a: NonNegMatrix) -> MarkovInvariant:
     and det(id - A) = det(id - A^t), read off the same elimination.
     """
     _require_classifiable(a)
-    pres, pointed = _pointed_presentation(a)
-    det = pres.snf.determinant
-    return MarkovInvariant(
-        group=pointed.group,
-        point=pointed.point,
-        det_value=det,
-        sign=_sign(det),
-    )
+    pres = from_presentation(identity_minus(a, transpose=True))
+    point = pres.element_from_vector((1,) * a.size)
+    return MarkovInvariant(group=pres.group, point=point, det_value=pres.snf.determinant)
 
 
 def _as_invariant(a) -> MarkovInvariant:
     if isinstance(a, MarkovInvariant):
         return a
     return invariant_triple(a)
-
-
-def k_groups(a) -> tuple[PointedGroup, int]:
-    """K-theory data: K0 as the pointed Bowen-Franks group, K1 as a free rank.
-
-    Accepts a matrix or a precomputed invariant.
-    """
-    inv = _as_invariant(a)
-    return inv.pointed, inv.k1_rank
 
 
 def full_group_abelianization(a) -> FgAbelianGroup:
@@ -194,7 +162,8 @@ def decide_flow(a, b) -> EquivalenceDecision:
     """
     left = _as_invariant(a)
     right = _as_invariant(b)
-    groups_ok = is_isomorphic(left.group, right.group)
+    # canonical forms are complete invariants, so isomorphic groups are equal
+    groups_ok = left.group == right.group
     dets_ok = left.det_value == right.det_value
     if not groups_ok:
         reason = "Bowen-Franks groups are not isomorphic"

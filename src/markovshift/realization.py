@@ -23,6 +23,7 @@ from .groups import (
     from_presentation,
     pointed_is_isomorphic,
 )
+from .intmat import _check_ints
 from .invariants import MarkovInvariant, invariant_triple
 from .shifts import NonNegMatrix, ZeroOneMatrix, edge_shift, identity_minus
 
@@ -69,7 +70,8 @@ def base_matrix(d_list) -> NonNegMatrix:
     Presents Z^(zeros - 1) plus the cyclic factors Z/d_i (d_i >= 2), and
     det(id - A) = (-1)^N * product of d_2..d_N.
     """
-    d = tuple(int(x) for x in d_list)
+    d = tuple(d_list)
+    _check_ints("diagonal parameter", d)
     if len(d) < 2:
         raise PreconditionError("base matrix needs at least 2 diagonal parameters")
     if d[0] != 0:
@@ -128,7 +130,8 @@ def tail_extension(a: NonNegMatrix, c) -> NonNegMatrix:
     moves the all-ones class onto the class of c while keeping the
     determinant.
     """
-    c = tuple(int(x) for x in c)
+    c = tuple(c)
+    _check_ints("tail length", c)
     if len(c) != a.size:
         raise ShapeError("tail length vector must have one entry per state")
     if any(x < 0 for x in c):

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .errors import DomainError, InadmissibleWordError, ShapeError
-from .intmat import IntMatrix
+from .errors import DomainError, ShapeError
+from .intmat import IntMatrix, _check_ints
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,7 @@ class NonNegMatrix:
         """
         for i, row in enumerate(self.entries):
             for x in row:
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise ShapeError(f"entry {x!r} is not an integer")
+                _check_ints("entry", (x,))
                 if x < 0:
                     raise DomainError(f"negative entry {x} in row {i + 1}")
         if self.ZERO_ONE:
@@ -75,9 +74,6 @@ class NonNegMatrix:
     def entry(self, s: int, t: int) -> int:
         """Entry for the symbol pair (s, t); symbols are 1-based."""
         return self.entries[s - 1][t - 1]
-
-    def allows(self, s: int, t: int) -> bool:
-        return self.entries[s - 1][t - 1] >= 1
 
     def as_int_matrix(self) -> IntMatrix:
         return IntMatrix(self.entries)
@@ -105,35 +101,6 @@ def identity_minus(a: NonNegMatrix, transpose: bool = False) -> IntMatrix:
 # words
 
 
-@dataclass(frozen=True)
-class Word:
-    """Finite word over the alphabet {1, ..., alphabet_size}."""
-
-    symbols: tuple[int, ...]
-    alphabet_size: int
-
-    def __post_init__(self):
-        for s in self.symbols:
-            if not 1 <= s <= self.alphabet_size:
-                raise DomainError(f"symbol {s} outside alphabet 1..{self.alphabet_size}")
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    @staticmethod
-    def admissible(a: NonNegMatrix, symbols: Sequence[int]) -> "Word":
-        w = Word(tuple(symbols), a.size)
-        if not is_admissible(a, w.symbols):
-            raise InadmissibleWordError(f"word {w.symbols} is not admissible")
-        return w
-
-
-def _symbols(w) -> tuple[int, ...]:
-    if isinstance(w, Word):
-        return w.symbols
-    return tuple(w)
-
-
 def _follows(a: NonNegMatrix, row: tuple[int, ...], ws: tuple[int, ...]) -> bool:
     """True when ws[0] has a nonzero entry in row, and each later symbol one
     in the row of the symbol before it.
@@ -149,65 +116,15 @@ def _follows(a: NonNegMatrix, row: tuple[int, ...], ws: tuple[int, ...]) -> bool
     return True
 
 
-def is_admissible(a: NonNegMatrix, word) -> bool:
-    ws = _symbols(word)
-    if not ws:
-        return True
-    if min(ws) < 1 or max(ws) > a.size:
-        return False
-    return _follows(a, a.entries[ws[0] - 1], ws[1:])
-
-
 def is_cyclically_admissible(a: NonNegMatrix, word) -> bool:
-    ws = _symbols(word)
+    ws = tuple(word)
     if not ws or min(ws) < 1 or max(ws) > a.size:
         return False
     return _follows(a, a.entries[ws[-1] - 1], ws)
 
 
-@dataclass(frozen=True)
-class EventuallyPeriodicPoint:
-    """Point of the shift space of the form (preperiod)(cycle)(cycle)..."""
-
-    preperiod: Word
-    cycle: Word
-
-    def __post_init__(self):
-        if len(self.cycle) == 0:
-            raise DomainError("cycle must be nonempty")
-
-
-def eventually_periodic_point(
-    a: NonNegMatrix, preperiod: Sequence[int], cycle: Sequence[int]
-) -> EventuallyPeriodicPoint:
-    pre = tuple(preperiod)
-    cyc = tuple(cycle)
-    if not is_cyclically_admissible(a, cyc):
-        raise InadmissibleWordError(f"cycle {cyc} is not cyclically admissible")
-    if not is_admissible(a, pre + cyc):
-        raise InadmissibleWordError("preperiod does not join the cycle admissibly")
-    return EventuallyPeriodicPoint(Word(pre, a.size), Word(cyc, a.size))
-
-
-def least_rotation_period(word) -> int:
-    """Smallest p with rotate(word, p) == word; always divides the length."""
-    ws = _symbols(word)
-    n = len(ws)
-    if n == 0:
-        raise DomainError("empty word has no period")
-    for p in range(1, n + 1):
-        if n % p == 0 and ws[p:] + ws[:p] == ws:
-            return p
-    raise AssertionError("unreachable: full rotation always fixes the word")
-
-
-def period_of(x: EventuallyPeriodicPoint) -> int:
-    """Eventual period of the point: the least rotation period of its cycle."""
-    return least_rotation_period(x.cycle)
-
-
 def lex_min_rotation(word) -> tuple[int, ...]:
-    ws = _symbols(word)
+    ws = tuple(word)
     return min(ws[i:] + ws[:i] for i in range(len(ws)))
 
 
@@ -260,8 +177,6 @@ class Issue:
 
 @dataclass(frozen=True)
 class Diagnostics:
-    size: int
-    binary: bool
     issues: tuple[Issue, ...]
 
     @property
@@ -283,25 +198,23 @@ def validate(matrix) -> Diagnostics:
     issues: list[Issue] = []
     n = len(rows)
     if n == 0:
-        return Diagnostics(0, True, (Issue("empty", "matrix has no rows"),))
+        return Diagnostics((Issue("empty", "matrix has no rows"),))
     if any(len(r) != n for r in rows):
-        return Diagnostics(n, True, (Issue("not_square", "matrix is not square"),))
+        return Diagnostics((Issue("not_square", "matrix is not square"),))
     if any(not isinstance(x, int) or isinstance(x, bool) for r in rows for x in r):
-        return Diagnostics(n, True, (Issue("bad_entry", "entries must be integers"),))
+        return Diagnostics((Issue("bad_entry", "entries must be integers"),))
     if any(x < 0 for r in rows for x in r):
-        issues.append(Issue("negative_entry", "entries must be nonnegative"))
-        return Diagnostics(n, False, tuple(issues))
-    binary = all(x <= 1 for r in rows for x in r)
+        return Diagnostics((Issue("negative_entry", "entries must be nonnegative"),))
     for i, row in enumerate(rows):
         if all(x == 0 for x in row):
             issues.append(Issue("zero_row", f"row {i + 1} is identically zero"))
     for j in range(n):
         if all(row[j] == 0 for row in rows):
             issues.append(Issue("zero_column", f"column {j + 1} is identically zero"))
-    if binary and n < 2:
+    if n < 2 and all(x <= 1 for r in rows for x in r):
         issues.append(Issue("too_small", "a 0/1 transition matrix needs at least 2 states"))
     if issues:
-        return Diagnostics(n, binary, tuple(issues))
+        return Diagnostics(tuple(issues))
     probe = NonNegMatrix.from_rows(rows)
     if not is_irreducible(probe):
         issues.append(Issue("reducible", "the transition graph is not strongly connected"))
@@ -312,7 +225,7 @@ def validate(matrix) -> Diagnostics:
                 "permutation matrix: the shift space is finite, so every point is isolated",
             )
         )
-    return Diagnostics(n, binary, tuple(issues))
+    return Diagnostics(tuple(issues))
 
 
 # ---------------------------------------------------------------------------

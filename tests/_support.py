@@ -10,20 +10,49 @@ from typing import Sequence
 
 from markovshift import (
     DomainError,
-    EventuallyPeriodicPoint,
+    FgAbelianGroup,
+    GroupElement,
     IntMatrix,
     LocallyConstantFn,
     NonNegMatrix,
     PointedGroup,
     ShapeError,
-    UnsupportedError,
     ZeroOneMatrix,
     admissible_words,
     is_irreducible,
-    is_isomorphic,
     orbit_sum,
     smith_normal_form,
 )
+
+
+class OracleLimitError(Exception):
+    """An oracle was asked about an instance outside the size it handles."""
+
+
+def identity(n: int) -> IntMatrix:
+    return IntMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+
+
+def mul_vector(m: IntMatrix, v: Sequence[int]) -> tuple[int, ...]:
+    """The matrix-vector product M v."""
+    assert len(v) == m.cols
+    return tuple(sum(a * x for a, x in zip(row, v)) for row in m.entries)
+
+
+def elements(group: FgAbelianGroup) -> list[GroupElement]:
+    """Every element of a finite group, in lexicographic coordinate order."""
+    assert group.is_finite
+    return [GroupElement((), coords) for coords in product(*(range(m) for m in group.torsion_factors))]
+
+
+def constant_fn(a: ZeroOneMatrix, value: int, window: int = 1) -> LocallyConstantFn:
+    return LocallyConstantFn.over(a, window, {w: value for w in admissible_words(a, window)})
+
+
+def least_rotation_period(word: Sequence[int]) -> int:
+    """Smallest p > 0 with rotate(word, p) == word."""
+    ws = tuple(word)
+    return next(p for p in range(1, len(ws) + 1) if ws[p:] + ws[:p] == ws)
 
 
 def random_int_matrix(rng: random.Random, rows: int, cols: int, bound: int = 9) -> IntMatrix:
@@ -59,7 +88,7 @@ def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
     and therefore generate the kernel as a lattice.
     """
     snf = smith_normal_form(m)
-    rank = snf.rank
+    rank = sum(1 for d in snf.diagonal if d != 0)
     if rank == m.cols:
         return []
     cols = list(zip(*snf.V.entries))
@@ -71,7 +100,7 @@ def solve_linear(m: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
     if len(b) != m.rows:
         raise ShapeError(f"right-hand side of length {len(b)} does not fit {m.rows} rows")
     snf = smith_normal_form(m)
-    y = snf.U.mul_vector(tuple(b))
+    y = mul_vector(snf.U, b)
     diag = snf.diagonal
     w = [0] * m.cols
     for i in range(m.rows):
@@ -84,7 +113,7 @@ def solve_linear(m: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
                 return None
             if i < m.cols:
                 w[i] = y[i] // d
-    return snf.V.mul_vector(w)
+    return mul_vector(snf.V, w)
 
 
 def count_calls(monkeypatch, module, name: str) -> list:
@@ -157,6 +186,16 @@ def all_shapes_up_to(max_order: int) -> list[tuple[int, ...]]:
     return shapes
 
 
+def allows(m, s: int, t: int) -> bool:
+    """True when symbol t may follow symbol s."""
+    return m.entries[s - 1][t - 1] >= 1
+
+
+def pairs_allowed(m, word) -> bool:
+    """Admissibility read straight from the rows of the matrix."""
+    return all(1 <= s <= m.size for s in word) and all(allows(m, s, t) for s, t in zip(word, word[1:]))
+
+
 def _cyclic_pairs_allowed(m, word) -> bool:
     """Cyclic admissibility read straight from the rows of the matrix."""
     n = len(word)
@@ -165,7 +204,7 @@ def _cyclic_pairs_allowed(m, word) -> bool:
 
 def naive_periodic_orbit_words(m, max_period: int) -> list[tuple[int, ...]]:
     """Brute-force orbit enumeration: filter every word by hand."""
-    from markovshift import least_rotation_period, lex_min_rotation
+    from markovshift import lex_min_rotation
 
     out = []
     for q in range(1, max_period + 1):
@@ -188,17 +227,15 @@ def naive_orbit_sum(m, fn, cycle) -> int:
     )
 
 
-def attracting_weight(
-    a: ZeroOneMatrix, fn: LocallyConstantFn, x: EventuallyPeriodicPoint, n: int
-) -> int:
-    """Weight of winding n times around the periodic tail of x.
+def attracting_weight(a: ZeroOneMatrix, fn: LocallyConstantFn, cycle: Sequence[int], n: int) -> int:
+    """Weight of winding n times around a cycle, the periodic tail of a point.
 
     Equals n times the orbit sum of the cycle; this is the value the
-    induced cocycle takes on the attracting loop at x.
+    induced cocycle takes on the attracting loop at the point.
     """
     if n < 1:
         raise DomainError("winding count must be positive")
-    return n * orbit_sum(a, fn, x.cycle.symbols)
+    return n * orbit_sum(a, fn, cycle)
 
 
 def coboundary(a: ZeroOneMatrix, eta: LocallyConstantFn) -> LocallyConstantFn:
@@ -328,12 +365,12 @@ def orbit_brute_force(a: PointedGroup, b: PointedGroup, bound: int = 512) -> boo
     """
     for pg in (a, b):
         if not pg.group.is_finite:
-            raise UnsupportedError("orbit_brute_force requires finite groups")
+            raise OracleLimitError("orbit_brute_force requires finite groups")
         order = pg.group.order()
         assert order is not None
         if order > bound:
-            raise UnsupportedError(f"group of order {order} exceeds the brute-force bound {bound}")
-    if not is_isomorphic(a.group, b.group):
+            raise OracleLimitError(f"group of order {order} exceeds the brute-force bound {bound}")
+    if a.group != b.group:
         return False
     orbit = aut_orbit(a.group.torsion_factors, a.point.torsion_coords)
     return b.point.torsion_coords in orbit
@@ -347,7 +384,7 @@ def pointed_orbit_brute_force(a: PointedGroup, b: PointedGroup) -> bool:
     some y in the Aut(T)-orbit of t lies in s + d*T, that is, agrees with s
     modulo gcd(d, mi) in every coordinate.  The orbit is ``aut_orbit``.
     """
-    if not is_isomorphic(a.group, b.group):
+    if a.group != b.group:
         return False
     d = math.gcd(*a.point.free_coords)
     if d != math.gcd(*b.point.free_coords):

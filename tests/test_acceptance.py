@@ -39,6 +39,7 @@ from markovshift.groups import _orbit_profile, _primary_parts
 
 from _support import (
     all_shapes_up_to,
+    elements,
     aut_orbit,
     orbit_brute_force,
     random_int_matrix,
@@ -70,14 +71,14 @@ def realization_family():
 
     for factors in all_shapes_up_to(40):
         group = FgAbelianGroup(0, factors)
-        elements = list(group.all_elements())
+        members = elements(group)
         order = group.order()
         if order <= 20:
-            sample = elements
+            sample = members
         else:
             generator_like = group.element(torsion=(1,) * len(factors))
             picks = {group.zero(), generator_like}
-            picks.update(rng.sample(elements, 3))
+            picks.update(rng.sample(members, 3))
             sample = sorted(picks, key=lambda e: e.torsion_coords)
         for point in sample:
             for sign in (-1, 1):
@@ -89,7 +90,7 @@ def realization_family():
             group = FgAbelianGroup(rank, factors)
             torsion_part = FgAbelianGroup(0, factors)
             for free in free_patterns[rank]:
-                for torsion_element in torsion_part.all_elements():
+                for torsion_element in elements(torsion_part):
                     add(group, group.element(free, torsion_element.torsion_coords), 0)
     return cases, time.perf_counter() - build_started
 
@@ -143,20 +144,20 @@ def test_criterion_04_pointed_decision_vs_brute_force():
         pointed_elements = []
         for factors in shapes:
             group = FgAbelianGroup(0, factors)
-            elements = list(group.all_elements())
+            members = elements(group)
             # sandwich certificate: the closure orbit sits inside the true
             # orbit, which sits inside the equal-height class; equality of
             # the two ends proves both computations exact on this group
             parts = _primary_parts(factors)
             by_profile: dict[object, set] = {}
-            for x in elements:
+            for x in members:
                 key = _orbit_profile(parts, x.torsion_coords, 0)
                 by_profile.setdefault(key, set()).add(x.torsion_coords)
-            for x in elements:
+            for x in members:
                 closure = aut_orbit(factors, x.torsion_coords)
                 height_class = by_profile[_orbit_profile(parts, x.torsion_coords, 0)]
                 assert closure == frozenset(height_class)
-            pointed_elements.extend(PointedGroup(group, x) for x in elements)
+            pointed_elements.extend(PointedGroup(group, x) for x in members)
         for a in pointed_elements:
             for b in pointed_elements:
                 pairs += 1

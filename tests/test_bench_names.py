@@ -1,16 +1,20 @@
 """The benchmark reaches into the package by name: every name it uses must resolve.
 
 ``bench/tracing.py`` wraps functions listed in ``TRACED`` by module and
-name, and the workloads call public names through module aliases.  The
-benchmark files are parsed, not imported, so this test writes nothing
-under ``bench/``.
+name and reads the transforms of every Smith form in ``_max_bits``, and
+the workloads call public names through module aliases.  The benchmark
+files are parsed, not imported, so this test writes nothing under
+``bench/``.
 """
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
 import pytest
+
+from markovshift import SnfResult
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -26,6 +30,19 @@ def traced_functions() -> list[tuple[str, str]]:
         ):
             return [(entry.elts[0].value, entry.elts[1].value) for entry in node.value.elts]
     raise AssertionError("bench/tracing.py defines no TRACED")
+
+
+def smith_form_reads() -> set[str]:
+    """Attributes that bench/tracing.py:_max_bits reads off its Smith form argument."""
+    for node in parse("tracing.py").body:
+        if isinstance(node, ast.FunctionDef) and node.name == "_max_bits":
+            arg = node.args.args[0].arg
+            return {
+                n.attr
+                for n in ast.walk(node)
+                if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == arg
+            }
+    raise AssertionError("bench/tracing.py defines no _max_bits")
 
 
 def aliased_names(name: str) -> list[tuple[str, str]]:
@@ -64,3 +81,10 @@ def test_workload_names_resolve(name):
     assert ("markovshift", "realize") in used
     missing = [f"{module}.{attr}" for module, attr in used if not hasattr(importlib.import_module(module), attr)]
     assert missing == []
+
+
+def test_smith_form_reads_resolve():
+    reads = smith_form_reads()
+    assert {"D", "U_inv", "V_inv"} <= reads
+    known = {f.name for f in dataclasses.fields(SnfResult)} | set(dir(SnfResult))
+    assert sorted(reads - known) == []

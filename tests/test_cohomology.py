@@ -8,15 +8,15 @@ from markovshift import (
     InadmissibleWordError,
     LocallyConstantFn,
     PreconditionError,
+    ShapeError,
     ZeroOneMatrix,
     admissible_words,
-    eventually_periodic_point,
     is_positive_class,
     orbit_sum,
     periodic_orbit_words,
 )
 
-from _support import attracting_weight, coboundary, naive_orbit_sum, random_zero_one
+from _support import attracting_weight, coboundary, constant_fn, naive_orbit_sum, random_zero_one
 
 FULL2 = ZeroOneMatrix.from_rows([[1, 1], [1, 1]])
 SIGN_FN = LocallyConstantFn.over(FULL2, 1, {(1,): 1, (2,): -1})
@@ -40,6 +40,16 @@ class TestLocallyConstantFn:
         with pytest.raises(DomainError):
             LocallyConstantFn.over(FULL2, 1, {(1,): 1, (2,): 0, (3,): 2})
 
+    def test_non_integer_value_rejected_not_truncated(self):
+        # truncated, this table would be all zeros and read as positive
+        with pytest.raises(ShapeError, match="function value 0.5 is not an integer"):
+            LocallyConstantFn.over(FULL2, 1, {(1,): 0.5, (2,): -0.5})
+
+    def test_direct_construction_checks_values(self):
+        for bad in (1.0, True, "1"):
+            with pytest.raises(ShapeError, match="is not an integer"):
+                LocallyConstantFn(1, {(1,): 1, (2,): bad})
+
     def test_evaluation_off_domain_is_an_error(self):
         with pytest.raises(DomainError):
             SIGN_FN.value((3,))
@@ -47,7 +57,7 @@ class TestLocallyConstantFn:
 
 class TestOrbitSum:
     def test_zero_function(self):
-        zero = LocallyConstantFn.constant(FULL2, 0)
+        zero = constant_fn(FULL2, 0)
         assert orbit_sum(FULL2, zero, (1, 2)) == 0
 
     def test_balanced_cycle(self):
@@ -66,7 +76,7 @@ class TestOrbitSum:
 
     def test_inadmissible_cycle_rejected(self):
         golden = ZeroOneMatrix.from_rows([[1, 1], [1, 0]])
-        fn = LocallyConstantFn.constant(golden, 1)
+        fn = constant_fn(golden, 1)
         with pytest.raises(InadmissibleWordError):
             orbit_sum(golden, fn, (2,))
 
@@ -105,18 +115,15 @@ class TestOrbitSum:
 
 class TestAttractingWeight:
     def test_single_wind_is_orbit_sum(self):
-        x = eventually_periodic_point(FULL2, (1,), (1, 2))
-        assert attracting_weight(FULL2, SIGN_FN, x, 1) == orbit_sum(FULL2, SIGN_FN, (1, 2))
+        assert attracting_weight(FULL2, SIGN_FN, (1, 2), 1) == orbit_sum(FULL2, SIGN_FN, (1, 2))
 
     def test_triple_wind_on_fixed_point(self):
-        x = eventually_periodic_point(FULL2, (), (2,))
-        assert attracting_weight(FULL2, SIGN_FN, x, 3) == -3
+        assert attracting_weight(FULL2, SIGN_FN, (2,), 3) == -3
 
     def test_constant_function_counts_length(self):
-        one = LocallyConstantFn.constant(FULL2, 1)
-        x = eventually_periodic_point(FULL2, (), (1, 2, 2))
+        one = constant_fn(FULL2, 1)
         for n in (1, 2, 5):
-            assert attracting_weight(FULL2, one, x, n) == n * 3
+            assert attracting_weight(FULL2, one, (1, 2, 2), n) == n * 3
 
     def test_linearity_in_wind_count(self):
         rng = random.Random(321)
@@ -124,15 +131,14 @@ class TestAttractingWeight:
             m = random_zero_one(rng, 3)
             fn = random_fn(rng, m, 1)
             cycle = periodic_orbit_words(m, 3)[-1]
-            x = eventually_periodic_point(m, (), cycle)
-            base = attracting_weight(m, fn, x, 1)
+            base = attracting_weight(m, fn, cycle, 1)
             for n in (2, 3, 7):
-                assert attracting_weight(m, fn, x, n) == n * base
+                assert attracting_weight(m, fn, cycle, n) == n * base
 
 
 class TestCoboundary:
     def test_constant_gives_zero(self):
-        eta = LocallyConstantFn.constant(FULL2, 4)
+        eta = constant_fn(FULL2, 4)
         cb = coboundary(FULL2, eta)
         assert all(v == 0 for v in cb.values.values())
 
@@ -154,10 +160,10 @@ class TestCoboundary:
 
 class TestIsPositiveClass:
     def test_zero_function_positive(self):
-        assert is_positive_class(FULL2, LocallyConstantFn.constant(FULL2, 0)).positive
+        assert is_positive_class(FULL2, constant_fn(FULL2, 0)).positive
 
     def test_constant_one_positive(self):
-        assert is_positive_class(FULL2, LocallyConstantFn.constant(FULL2, 1)).positive
+        assert is_positive_class(FULL2, constant_fn(FULL2, 1)).positive
 
     def test_sign_function_negative_with_witness(self):
         result = is_positive_class(FULL2, SIGN_FN)
@@ -169,13 +175,13 @@ class TestIsPositiveClass:
         reducible = [[1, 1], [0, 1]]
         m = ZeroOneMatrix.from_rows(reducible)
         with pytest.raises(PreconditionError, match="^positivity decision requires an irreducible matrix$"):
-            is_positive_class(m, LocallyConstantFn.constant(m, 1))
+            is_positive_class(m, constant_fn(m, 1))
 
     def test_requires_condition_I(self):
         m = ZeroOneMatrix.from_rows([[0, 1], [1, 0]])
         message = "^positivity decision requires a shift space without isolated points$"
         with pytest.raises(PreconditionError, match=message):
-            is_positive_class(m, LocallyConstantFn.constant(m, 1))
+            is_positive_class(m, constant_fn(m, 1))
 
     def test_agrees_with_exhaustive_enumeration(self):
         rng = random.Random(888)

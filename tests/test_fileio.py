@@ -2,7 +2,6 @@ import pytest
 
 from markovshift import NonNegMatrix, ParseError, ZeroOneMatrix
 from markovshift.fileio import (
-    format_function,
     format_matrix,
     format_word,
     matrix_from_rows,
@@ -75,7 +74,6 @@ class TestFunctionParsing:
         fn = parse_function_text(text, FULL2)
         assert fn.window == 1
         assert fn.values == {(1,): 1, (2,): -1}
-        assert format_function(fn, 2) == "window 1\n1 1\n2 -1\n"
 
     def test_window_two(self):
         text = "window 2\n11 0\n12 1\n21 -1\n22 0\n"

@@ -8,27 +8,28 @@ import markovshift.groups
 from markovshift import (
     DomainError,
     FgAbelianGroup,
+    GroupElement,
     IntMatrix,
     PointedGroup,
     ShapeError,
-    UnsupportedError,
-    canonical_group,
     from_presentation,
-    height_sequence,
-    is_isomorphic,
     pointed_is_isomorphic,
     tensor_z2,
 )
-from markovshift.groups import _orbit_profile, _primary_parts
+from markovshift.groups import _heights, _orbit_profile, _primary_parts
 
 from _support import (
+    OracleLimitError,
     all_shapes_up_to,
     apply_generator,
     apply_literal_automorphism,
     aut_orbit,
     count_calls,
     elementary_automorphisms,
+    elements,
+    identity,
     literal_automorphism_tuples,
+    mul_vector,
     orbit_brute_force,
     pointed_orbit_brute_force,
     random_int_matrix,
@@ -36,6 +37,7 @@ from _support import (
 )
 
 FULL3_RELATION = IntMatrix.from_rows([[0, -1, -1], [-1, 0, -1], [-1, -1, 0]])
+TRIVIAL = FgAbelianGroup(0)
 
 
 def pointed(factors, coords, free_rank=0, free=()):
@@ -51,11 +53,18 @@ class TestCanonicalForm:
             FgAbelianGroup(0, (1,))
 
     def test_canonical_group_merges_prime_powers(self):
-        assert canonical_group(0, [8, 5]).torsion_factors == (40,)
-        assert canonical_group(0, [2, 3]).torsion_factors == (6,)
-        assert canonical_group(0, [2, 2, 4]).torsion_factors == (2, 2, 4)
-        assert canonical_group(0, [6, 4]).torsion_factors == (2, 12)
-        assert canonical_group(2, [1, 1]) == FgAbelianGroup(2)
+        # Z^n modulo a diagonal matrix is the direct sum of the cyclic groups
+        # of its entries; its canonical form merges them into one chain
+        def cyclic_sum(orders):
+            n = len(orders)
+            diagonal = [[d if i == j else 0 for j in range(n)] for i, d in enumerate(orders)]
+            return from_presentation(IntMatrix.from_rows(diagonal)).group
+
+        assert cyclic_sum([8, 5]).torsion_factors == (40,)
+        assert cyclic_sum([2, 3]).torsion_factors == (6,)
+        assert cyclic_sum([2, 2, 4]).torsion_factors == (2, 2, 4)
+        assert cyclic_sum([6, 4]).torsion_factors == (2, 12)
+        assert cyclic_sum([0, 0, 1, 1]) == FgAbelianGroup(2)
 
     def test_order(self):
         assert FgAbelianGroup(0, (2, 4)).order() == 8
@@ -64,18 +73,23 @@ class TestCanonicalForm:
 
 class TestFromPresentation:
     def test_identity_gives_trivial(self):
-        pres = from_presentation(IntMatrix.identity(3))
-        assert pres.group.is_trivial
+        pres = from_presentation(identity(3))
+        assert pres.group == TRIVIAL
 
     def test_unimodular_gives_trivial(self):
         pres = from_presentation(IntMatrix.from_rows([[0, -1], [-1, 0]]))
-        assert pres.group.is_trivial
+        assert pres.group == TRIVIAL
 
     def test_full_three_shift(self):
         pres = from_presentation(FULL3_RELATION)
         assert pres.group == FgAbelianGroup(0, (2,))
         assert pres.element_from_vector((1, 1, 1)) == pres.group.element(torsion=(1,))
         assert pres.element_from_vector((0, 0, 0)) == pres.group.zero()
+
+    def test_rejects_a_non_integer_vector(self):
+        pres = from_presentation(FULL3_RELATION)
+        with pytest.raises(ShapeError, match="vector entry 1.5 is not an integer"):
+            pres.element_from_vector((1.5, 0, 0))
 
     def test_vectors_equal_iff_difference_in_column_span(self):
         rng = random.Random(4242)
@@ -97,7 +111,7 @@ class TestFromPresentation:
             pres = from_presentation(random_int_matrix(rng, n, n, bound=4))
             snf, g = pres.snf, pres.group
             v = tuple(rng.randint(-5, 5) for _ in range(n))
-            w = snf.U.mul_vector(v)
+            w = mul_vector(snf.U, v)
             expected = g.element([w[i] for i in pres.free_positions], [w[i] for i in pres.torsion_positions])
             assert pres.element_from_vector(v) == expected
             x = g.element(
@@ -107,7 +121,7 @@ class TestFromPresentation:
             coords = [0] * n
             for pos, c in zip(pres.free_positions + pres.torsion_positions, x.free_coords + x.torsion_coords):
                 coords[pos] = c
-            assert pres.representative(x) == snf.U_inv.mul_vector(coords)
+            assert pres.representative(x) == mul_vector(snf.U_inv, coords)
             with pytest.raises(ShapeError):
                 pres.element_from_vector(v + (0,))
 
@@ -124,39 +138,37 @@ class TestFromPresentation:
 
 
 class TestIsIsomorphic:
+    # canonical forms are complete invariants: isomorphic groups are equal
     def test_equal_forms(self):
-        assert is_isomorphic(FgAbelianGroup(0, (2,)), FgAbelianGroup(0, (2,)))
+        assert FgAbelianGroup(0, (2,)) == FgAbelianGroup(0, (2,))
 
     def test_rank_differs(self):
-        assert not is_isomorphic(FgAbelianGroup(1, (2,)), FgAbelianGroup(0, (2,)))
+        assert FgAbelianGroup(1, (2,)) != FgAbelianGroup(0, (2,))
 
     def test_distinct_invariant_factors(self):
-        assert not is_isomorphic(FgAbelianGroup(0, (2, 4)), FgAbelianGroup(0, (8,)))
+        assert FgAbelianGroup(0, (2, 4)) != FgAbelianGroup(0, (8,))
 
 
 class TestHeightSequence:
+    # _heights takes the p-exponents of the factors: Z/8 + Z/2 is (3, 1) at p = 2
     def test_zero_element(self):
-        assert height_sequence(2, (8,), (0,)) == (math.inf,)
+        assert _heights(2, (3,), (0,)) == (math.inf,)
 
     def test_spec_values(self):
-        assert height_sequence(2, (8, 2), (2, 0)) == (1, 2, math.inf)
-        assert height_sequence(2, (8, 2), (1, 0)) == (0, 1, 2, math.inf)
-
-    def test_rejects_non_p_power(self):
-        with pytest.raises(DomainError):
-            height_sequence(2, (6,), (1,))
-        with pytest.raises(DomainError):
-            height_sequence(4, (4,), (1,))
+        assert _heights(2, (3, 1), (2, 0)) == (1, 2, math.inf)
+        assert _heights(2, (3, 1), (1, 0)) == (0, 1, 2, math.inf)
 
     def test_invariant_under_every_automorphism(self):
         for factors in [(4,), (2, 4), (2, 2), (8,), (3, 3), (9,)]:
             p = 2 if factors[0] % 2 == 0 else 3
+            exps = [round(math.log(m, p)) for m in factors]
+            assert [p**e for e in exps] == list(factors)
             autos = literal_automorphism_tuples(factors)
             for coords in product(*(range(m) for m in factors)):
-                h = height_sequence(p, factors, coords)
+                h = _heights(p, exps, coords)
                 for images in autos:
                     moved = apply_literal_automorphism(images, coords, factors)
-                    assert height_sequence(p, factors, moved) == h
+                    assert _heights(p, exps, moved) == h
 
 
 class TestPointedIsomorphic:
@@ -189,8 +201,8 @@ class TestPointedIsomorphic:
         shapes = [(2,), (4,), (2, 4), (3, 9), (2, 2, 2), (12,), (6, 6)]
         for factors in shapes:
             g = FgAbelianGroup(0, factors)
-            elements = list(g.all_elements())
-            sample = rng.sample(elements, min(6, len(elements)))
+            members = elements(g)
+            sample = rng.sample(members, min(6, len(members)))
             for x in sample:
                 assert pointed_is_isomorphic(PointedGroup(g, x), PointedGroup(g, x))
                 for y in sample:
@@ -245,10 +257,10 @@ class TestPointedIsomorphic:
 
     def test_mixed_decision_is_an_equivalence_relation(self):
         g = FgAbelianGroup(1, (8,))
-        elements = [
+        members = [
             g.element((f,), (t,)) for f in range(-3, 4) for t in range(8)
         ]
-        points = [PointedGroup(g, x) for x in elements]
+        points = [PointedGroup(g, x) for x in members]
         related = {
             (i, j): pointed_is_isomorphic(points[i], points[j])
             for i in range(len(points))
@@ -314,10 +326,10 @@ class TestOrbitBruteForce:
 
     def test_rejects_infinite_and_oversized(self):
         g = FgAbelianGroup(1)
-        with pytest.raises(UnsupportedError):
+        with pytest.raises(OracleLimitError):
             orbit_brute_force(PointedGroup(g, g.element(free=(1,))), PointedGroup(g, g.element(free=(1,))))
         big = FgAbelianGroup(0, (1024,))
-        with pytest.raises(UnsupportedError):
+        with pytest.raises(OracleLimitError):
             orbit_brute_force(
                 PointedGroup(big, big.element(torsion=(1,))),
                 PointedGroup(big, big.element(torsion=(1,))),
@@ -339,14 +351,14 @@ class TestAgreementSweep:
     def test_pointed_matches_brute_force_small(self):
         for factors in all_shapes_up_to(32):
             g = FgAbelianGroup(0, factors)
-            elements = list(g.all_elements())
+            members = elements(g)
             parts = _primary_parts(factors)
             by_profile = {}
-            for x in elements:
+            for x in members:
                 by_profile.setdefault(_orbit_profile(parts, x.torsion_coords, 0), set()).add(
                     x.torsion_coords
                 )
-            for x in elements:
+            for x in members:
                 orbit = aut_orbit(factors, x.torsion_coords)
                 # sandwich: closure is contained in the true orbit, which is
                 # contained in the height class; equality pins both
@@ -361,15 +373,15 @@ class TestMixedAgreementSweep:
         for factors in all_shapes_up_to(16):
             order = math.prod(factors)
             exponent = factors[-1] if factors else 1
-            elements = list(product(*(range(m) for m in factors)))
+            torsion_parts = list(product(*(range(m) for m in factors)))
             for rank in (1, 2):
                 g = FgAbelianGroup(rank, factors)
                 for d in sorted(set(range(2 * exponent + 1)) | {order}):
                     free_a = (d,) + (0,) * (rank - 1)
                     free_b = (-d,) if rank == 1 else (2 * d, 3 * d)
-                    for t in elements:
+                    for t in torsion_parts:
                         a = PointedGroup(g, g.element(free_a, t))
-                        for s in elements:
+                        for s in torsion_parts:
                             b = PointedGroup(g, g.element(free_b, s))
                             assert pointed_is_isomorphic(a, b) == pointed_orbit_brute_force(
                                 a, b
@@ -380,13 +392,13 @@ class TestMixedAgreementSweep:
 
 class TestTensorZ2:
     def test_trivial(self):
-        assert tensor_z2(FgAbelianGroup(0)).is_trivial
+        assert tensor_z2(FgAbelianGroup(0)) == TRIVIAL
 
     def test_z_plus_z6(self):
         assert tensor_z2(FgAbelianGroup(1, (6,))) == FgAbelianGroup(0, (2, 2))
 
     def test_odd_torsion_dies(self):
-        assert tensor_z2(FgAbelianGroup(0, (3,))).is_trivial
+        assert tensor_z2(FgAbelianGroup(0, (3,))) == TRIVIAL
 
     def test_counts_even_factors_and_rank(self):
         assert tensor_z2(FgAbelianGroup(2, (3, 6, 12))) == FgAbelianGroup(0, (2, 2, 2, 2))
@@ -399,9 +411,9 @@ class TestGroupArithmetic:
 
     def test_enumeration_counts_order(self):
         g = FgAbelianGroup(0, (2, 6))
-        elements = list(g.all_elements())
-        assert len(elements) == g.order() == 12
-        assert len(set(elements)) == 12
+        members = elements(g)
+        assert len(members) == g.order() == 12
+        assert len(set(members)) == 12
 
     def test_rejects_non_integer_coordinates(self):
         g = FgAbelianGroup(1, (3,))
@@ -414,6 +426,20 @@ class TestGroupArithmetic:
             with pytest.raises(ShapeError, match=bad):
                 g.element(free, torsion)
 
+    def test_pointed_group_rejects_a_non_integer_free_coordinate(self):
+        g = FgAbelianGroup(1, (3,))
+        assert not g.contains(GroupElement((1.5,), (1,)))
+        with pytest.raises(ShapeError, match="distinguished element"):
+            PointedGroup(g, GroupElement((1.5,), (1,)))
+
+    def test_pointed_group_rejects_a_non_integer_torsion_coordinate(self):
+        g = FgAbelianGroup(0, (2,))
+        for coord in (1.0, True):
+            assert not g.contains(GroupElement((), (coord,)))
+            with pytest.raises(ShapeError, match="distinguished element"):
+                PointedGroup(g, GroupElement((), (coord,)))
+        assert g.contains(GroupElement((), (1,)))
+
     def test_rejects_non_integer_shape(self):
         with pytest.raises(ShapeError, match="torsion factor 3.0"):
             FgAbelianGroup(0, (3.0,))
@@ -421,9 +447,3 @@ class TestGroupArithmetic:
             FgAbelianGroup(True)
         with pytest.raises(ShapeError, match="free rank '1'"):
             FgAbelianGroup("1")
-
-    def test_add_negate(self):
-        g = FgAbelianGroup(1, (5,))
-        x = g.element((2,), (3,))
-        assert g.add(x, g.negate(x)) == g.zero()
-        assert g.scale(3, x) == g.element((6,), (4,))

@@ -6,10 +6,11 @@ import markovshift.groups
 import markovshift.intmat
 from markovshift import (
     FgAbelianGroup,
+    MarkovInvariant,
     NonNegMatrix,
     PreconditionError,
+    VerificationError,
     ZeroOneMatrix,
-    bowen_franks,
     decide_coe,
     decide_flow,
     determinant,
@@ -17,7 +18,6 @@ from markovshift import (
     full_group_abelianization,
     identity_minus,
     invariant_triple,
-    k_groups,
 )
 from markovshift.realization import base_matrix
 
@@ -26,21 +26,22 @@ from _support import count_calls, kernel_basis, random_nonneg, random_zero_one
 FULL2 = ZeroOneMatrix.from_rows([[1, 1], [1, 1]])
 GOLDEN = ZeroOneMatrix.from_rows([[1, 1], [1, 0]])
 FULL3 = ZeroOneMatrix.from_rows([[1, 1, 1], [1, 1, 1], [1, 1, 1]])
+TRIVIAL = FgAbelianGroup(0)
 
 
 class TestBowenFranks:
     def test_full_two_shift_trivial(self):
-        pg = bowen_franks(FULL2)
-        assert pg.group.is_trivial
+        pg = invariant_triple(FULL2).pointed
+        assert pg.group == TRIVIAL
         assert pg.point == pg.group.zero()
 
     def test_full_three_shift(self):
-        pg = bowen_franks(FULL3)
+        pg = invariant_triple(FULL3).pointed
         assert pg.group == FgAbelianGroup(0, (2,))
         assert pg.point == pg.group.element(torsion=(1,))
 
     def test_golden_mean_trivial(self):
-        assert bowen_franks(GOLDEN).group.is_trivial
+        assert invariant_triple(GOLDEN).pointed.group == TRIVIAL
 
     def test_transpose_flag_gives_same_group(self):
         rng = random.Random(3)
@@ -53,12 +54,12 @@ class TestBowenFranks:
 class TestInvariantTriple:
     def test_full_two_shift(self):
         inv = invariant_triple(FULL2)
-        assert inv.group.is_trivial
+        assert inv.group == TRIVIAL
         assert (inv.det_value, inv.sign, inv.k1_rank) == (-1, -1, 0)
 
     def test_golden_mean(self):
         inv = invariant_triple(GOLDEN)
-        assert inv.group.is_trivial
+        assert inv.group == TRIVIAL
         assert (inv.det_value, inv.sign, inv.k1_rank) == (-1, -1, 0)
 
     def test_full_three_shift(self):
@@ -66,6 +67,15 @@ class TestInvariantTriple:
         assert inv.group == FgAbelianGroup(0, (2,))
         assert inv.point == inv.group.element(torsion=(1,))
         assert (inv.det_value, inv.sign, inv.k1_rank) == (-2, -1, 0)
+
+    def test_sign_is_read_off_the_determinant(self):
+        z2, z = FgAbelianGroup(0, (2,)), FgAbelianGroup(1)
+        assert MarkovInvariant(z2, z2.element(torsion=(1,)), -2).sign == -1
+        assert MarkovInvariant(z2, z2.zero(), 2).sign == 1
+        assert MarkovInvariant(z, z.zero(), 0).sign == 0
+        for group, det in ((z2, 0), (z, 1), (z2, 3)):
+            with pytest.raises(VerificationError):
+                MarkovInvariant(group, group.zero(), det)
 
     def test_rejects_reducible(self):
         with pytest.raises(PreconditionError):
@@ -190,46 +200,46 @@ class TestDecisions:
 
 class TestKGroups:
     def test_full_three_shift(self):
-        pg, rank = k_groups(FULL3)
+        inv = invariant_triple(FULL3)
+        pg, rank = inv.pointed, inv.k1_rank
         assert pg.group == FgAbelianGroup(0, (2,))
         assert pg.point == pg.group.element(torsion=(1,))
         assert rank == 0
 
     def test_full_two_shift(self):
-        pg, rank = k_groups(FULL2)
-        assert pg.group.is_trivial
+        inv = invariant_triple(FULL2)
+        pg, rank = inv.pointed, inv.k1_rank
+        assert pg.group == TRIVIAL
         assert rank == 0
 
     def test_singular_matrix_has_kernel(self):
         m = base_matrix((0, 0))
         assert determinant(identity_minus(m)) == 0
-        _, rank = k_groups(m)
-        assert rank >= 1
+        assert invariant_triple(m).k1_rank >= 1
 
     def test_k1_rank_is_kernel_rank(self):
         rng = random.Random(64)
         matrices = [random_nonneg(rng, rng.randint(2, 4)) for _ in range(10)]
         matrices += [base_matrix((0, 0)), base_matrix((0, 0, 0, 2))]
         for m in matrices:
-            _, rank = k_groups(m)
+            rank = invariant_triple(m).k1_rank
             assert rank == len(kernel_basis(identity_minus(m, transpose=True)))
 
     def test_accepts_precomputed_invariant(self):
         inv = invariant_triple(FULL3)
-        assert k_groups(inv) == k_groups(FULL3)
         assert full_group_abelianization(inv) == full_group_abelianization(FULL3)
 
     def test_rejects_unclassifiable(self):
         for m in ([[1, 1], [0, 1]], [[0, 1], [1, 0]]):
             with pytest.raises(PreconditionError):
-                k_groups(NonNegMatrix.from_rows(m))
+                invariant_triple(NonNegMatrix.from_rows(m))
             with pytest.raises(PreconditionError):
                 full_group_abelianization(NonNegMatrix.from_rows(m))
 
 
 class TestFullGroupAbelianization:
     def test_full_two_shift(self):
-        assert full_group_abelianization(FULL2).is_trivial
+        assert full_group_abelianization(FULL2) == TRIVIAL
 
     def test_full_three_shift(self):
         assert full_group_abelianization(FULL3) == FgAbelianGroup(0, (2,))
@@ -240,14 +250,14 @@ class TestFullGroupAbelianization:
 
     def test_odd_torsion_contributes_nothing(self):
         m = base_matrix((0, 3))
-        assert full_group_abelianization(m).is_trivial
+        assert full_group_abelianization(m) == TRIVIAL
 
 
 class TestNonNegInputs:
     def test_single_state_multi_edge(self):
         m = NonNegMatrix.from_rows([[2]])
         inv = invariant_triple(m)
-        assert inv.group.is_trivial and inv.det_value == -1
+        assert inv.group == TRIVIAL and inv.det_value == -1
         assert decide_coe(m, FULL2).equivalent
 
     def test_rejects_single_fixed_point(self):

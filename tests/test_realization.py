@@ -29,7 +29,7 @@ from markovshift import (
     validate,
 )
 
-from _support import count_calls
+from _support import count_calls, elements
 
 FULL2 = ZeroOneMatrix.from_rows([[1, 1], [1, 1]])
 FULL3 = ZeroOneMatrix.from_rows([[1, 1, 1], [1, 1, 1], [1, 1, 1]])
@@ -101,6 +101,12 @@ class TestBaseMatrix:
         with pytest.raises(PreconditionError):
             base_matrix((0,))
 
+    def test_rejects_non_integer_parameters(self):
+        # truncated, (0, 2.7) would build the Z/2 base and (0, True) the trivial one
+        for d, bad in (((0, 2.7), "2.7"), ((0, True), "True"), ((0.0, 2), "0.0")):
+            with pytest.raises(ShapeError, match=f"diagonal parameter {bad} is not an integer"):
+                base_matrix(d)
+
     def test_determinant_formula_random(self):
         rng = random.Random(1234)
         for _ in range(60):
@@ -137,7 +143,7 @@ class TestPointVector:
     def test_every_element_gets_nonneg_representative(self):
         a = base_matrix((0, 2, 4))
         pres = from_presentation(identity_minus(a, transpose=True))
-        for u in pres.group.all_elements():
+        for u in elements(pres.group):
             c = point_vector(a, u)
             assert all(x >= 0 for x in c)
             assert pres.element_from_vector(c) == u
@@ -165,6 +171,12 @@ class TestTailExtension:
             (2, 0, 1),
             (1, 0, 5),
         )
+
+    def test_rejects_non_integer_tail_lengths(self):
+        a = base_matrix((0, 3))
+        for c, bad in (((1.5, 0), "1.5"), ((0, True), "True")):
+            with pytest.raises(ShapeError, match=f"tail length {bad} is not an integer"):
+                tail_extension(a, c)
 
     def test_size_counts(self):
         a = base_matrix((0, 2, 2))
@@ -245,8 +257,8 @@ class TestRealize:
         shapes = [(), (2,), (3,), (4,), (2, 2), (5,), (6,), (2, 4), (9,)]
         for factors in shapes:
             group = FgAbelianGroup(0, factors)
-            elements = list(group.all_elements())
-            sample = elements if len(elements) <= 4 else rng.sample(elements, 4)
+            members = elements(group)
+            sample = members if len(members) <= 4 else rng.sample(members, 4)
             for point in sample:
                 for sign in (-1, 1):
                     matrix, plan = realize(group, point, sign)

@@ -5,28 +5,22 @@ import pytest
 
 from markovshift import (
     DomainError,
-    InadmissibleWordError,
     NonNegMatrix,
     ShapeError,
-    Word,
     ZeroOneMatrix,
     admissible_words,
     count_period_points,
     edge_shift,
-    eventually_periodic_point,
     higher_block,
     identity_minus,
-    is_admissible,
     is_cyclically_admissible,
     is_irreducible,
-    least_rotation_period,
     lex_min_rotation,
-    period_of,
     periodic_orbit_words,
     validate,
 )
 
-from _support import random_nonneg, random_zero_one
+from _support import allows, least_rotation_period, pairs_allowed, random_nonneg, random_zero_one
 
 FULL2 = ZeroOneMatrix.from_rows([[1, 1], [1, 1]])
 GOLDEN = ZeroOneMatrix.from_rows([[1, 1], [1, 0]])
@@ -176,7 +170,7 @@ class TestConditionI:
                 symbol = start
                 forced = True
                 for _ in range(steps):
-                    nexts = [t for t in range(1, m.size + 1) if m.allows(symbol, t)]
+                    nexts = [t for t in range(1, m.size + 1) if allows(m, symbol, t)]
                     if len(nexts) != 1:
                         forced = False
                         break
@@ -206,8 +200,6 @@ class TestConditionI:
 
 class TestWords:
     def test_admissibility(self):
-        assert is_admissible(GOLDEN, (1, 2, 1, 1))
-        assert not is_admissible(GOLDEN, (2, 2))
         assert is_cyclically_admissible(GOLDEN, (1, 2))
         assert not is_cyclically_admissible(GOLDEN, (2, 1, 2))
 
@@ -219,11 +211,10 @@ class TestWords:
             for length in range(1, 5):
                 for word in product(range(1, m.size + 1), repeat=length):
                     pairs = list(zip(word, word[1:]))
-                    assert is_admissible(m, word) == all(m.allows(s, t) for s, t in pairs)
                     assert is_cyclically_admissible(m, word) == all(
-                        m.allows(s, t) for s, t in pairs + [(word[-1], word[0])]
+                        allows(m, s, t) for s, t in pairs + [(word[-1], word[0])]
                     )
-        assert not is_admissible(cases[0], (1, 4))
+        assert not is_cyclically_admissible(cases[0], (1, 4))
         assert not is_cyclically_admissible(cases[0], ())
 
     def test_admissible_words_against_brute_force(self):
@@ -232,41 +223,13 @@ class TestWords:
         cases += [random_zero_one(rng, rng.randint(2, 5), rng.choice((0.3, 0.5))) for _ in range(30)]
         for m in cases:
             for k in range(1, 5):
-                expected = [w for w in product(range(1, m.size + 1), repeat=k) if is_admissible(m, w)]
+                expected = [w for w in product(range(1, m.size + 1), repeat=k) if pairs_allowed(m, w)]
                 assert admissible_words(m, k) == expected
-
-    def test_word_factory(self):
-        w = Word.admissible(GOLDEN, (1, 2))
-        assert w.symbols == (1, 2)
-        with pytest.raises(InadmissibleWordError):
-            Word.admissible(GOLDEN, (2, 2))
 
     def test_rotation_helpers(self):
         assert least_rotation_period((1, 2, 1, 2)) == 2
         assert least_rotation_period((1, 2, 1, 2, 1)) == 5
         assert lex_min_rotation((2, 1, 1)) == (1, 1, 2)
-
-
-class TestEventuallyPeriodicPoints:
-    def test_period_of_fixed_point(self):
-        x = eventually_periodic_point(FULL2, (), (1,))
-        assert period_of(x) == 1
-
-    def test_period_of_doubled_cycle(self):
-        x = eventually_periodic_point(FULL2, (), (1, 2, 1, 2))
-        assert period_of(x) == 2
-
-    def test_period_with_preperiod(self):
-        x = eventually_periodic_point(FULL2, (2,), (1, 1, 2))
-        assert period_of(x) == 3
-
-    def test_inadmissible_cycle_rejected(self):
-        with pytest.raises(InadmissibleWordError):
-            eventually_periodic_point(GOLDEN, (), (2, 2))
-
-    def test_bad_junction_rejected(self):
-        with pytest.raises(InadmissibleWordError):
-            eventually_periodic_point(GOLDEN, (2,), (2, 1))
 
 
 class TestPeriodicOrbits:
@@ -424,7 +387,7 @@ class TestHigherBlock:
             for k in (2, 3):
                 words = admissible_words(m, k)
                 assert higher_block(m, k).entries == tuple(
-                    tuple(int(w[1:] == w2[:-1] and m.allows(w[-1], w2[-1])) for w2 in words)
+                    tuple(int(w[1:] == w2[:-1] and allows(m, w[-1], w2[-1])) for w2 in words)
                     for w in words
                 )
 
