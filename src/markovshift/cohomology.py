@@ -45,6 +45,8 @@ class LocallyConstantFn:
     def over(a: ZeroOneMatrix, window: int, table: Mapping[Sequence[int], int]) -> "LocallyConstantFn":
         """Build a function and check its table covers exactly the admissible words."""
         normalized = {tuple(w): v for w, v in table.items()}
+        for w in normalized:
+            _check_ints("word symbol", w)
         expected = set(admissible_words(a, window))
         given = set(normalized)
         if given != expected:

@@ -5,37 +5,25 @@ every mi >= 2; this canonical shape is a complete isomorphism invariant.
 Elements are integer coordinate tuples, torsion coordinates reduced
 modulo their factor.  The pointed decision (is there an isomorphism
 carrying one distinguished element to the other?) is one comparison in
-closed form: the content of the free part, then per-prime height
-sequences, which classify automorphism orbits in finite abelian p-groups
-(Hillar & Rhea 2007), taken of the least-height element of a coset.
+closed form: the content of the free part, then the height sequences of
+the least-height element of a coset, one per element of a coprime base
+refined by gcds from the factors and both points.  Per-prime height
+sequences classify automorphism orbits in finite abelian p-groups
+(Hillar & Rhea 2007), and a base element's sequence fixes those of all
+its primes, so the decision needs no factoring.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, count
+from itertools import chain
 from typing import Sequence
 
 from .errors import DomainError, ShapeError
 from .intmat import IntMatrix, SnfResult, _check_ints, _is_int, smith_normal_form
 
 INFINITE = math.inf
-
-
-def _factorize(n: int) -> dict[int, int]:
-    if n < 1:
-        raise DomainError(f"cannot factorize {n}")
-    out: dict[int, int] = {}
-    for d in chain((2,), count(3, 2)):
-        if d * d > n:
-            break
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 @dataclass(frozen=True)
@@ -188,25 +176,50 @@ def tensor_z2(g: FgAbelianGroup) -> FgAbelianGroup:
 # heights and the pointed decision
 
 
-def _p_valuation(p: int, x: int) -> int:
+def _coprime_base(numbers: Sequence[int]) -> tuple[int, ...]:
+    """Pairwise coprime integers > 1 of which every given number is a product.
+
+    Factor refinement (Bach, Driscoll & Shallit 1993): a pair x, y with
+    g = gcd(x, y) > 1 is replaced by g, x/g, y/g until no pair shares a
+    factor.  Each replacement divides the product of the list by g, so the
+    refinement ends, and it takes only gcds, never a factorization.
+    """
+    base: list[int] = []
+    todo = [n for n in numbers if n > 1]
+    while todo:
+        x = todo.pop()
+        for i, b in enumerate(base):
+            g = math.gcd(x, b)
+            if g > 1:
+                del base[i]
+                todo.extend(n for n in (g, x // g, b // g) if n > 1)
+                break
+        else:
+            base.append(x)
+    return tuple(sorted(base))
+
+
+def _valuation(b: int, x: int) -> int:
+    """The exponent of b in x > 0: the largest k with b^k dividing x."""
     v = 0
-    while x % p == 0:
-        x //= p
+    while x % b == 0:
+        x //= b
         v += 1
     return v
 
 
-def _heights(p: int, exps: Sequence[int], coords: Sequence[int]):
-    """Height sequence of coords in the sum of Z/p^e over exps, coords reduced.
+def _heights(pairs: Sequence[tuple[int, int]]):
+    """Height sequence of an element of a finite p-group, from its valuation pairs.
 
-    The height of y is the largest k with y in p^k * G (infinite for 0);
-    the sequence lists the heights of x, p*x, p^2*x, ... up to its first
-    infinity.  Two elements of one finite p-group lie in one automorphism
-    orbit exactly when their sequences agree.  A nonzero coordinate of
-    valuation v in Z/p^e contributes v + k to the height of p^k * x while
+    Each pair (v, e) is one coordinate in Z/p^e of valuation v (v = e for a
+    zero coordinate).  The height of y is the largest k with y in p^k * G
+    (infinite for 0); the sequence lists the heights of x, p*x, p^2*x, ...
+    up to its first infinity.  Two elements of one finite p-group lie in
+    one automorphism orbit exactly when their sequences agree.  A
+    coordinate (v, e) contributes v + k to the height of p^k * x while
     v + k < e and vanishes after that.
     """
-    live = [(_p_valuation(p, c), e) for c, e in zip(coords, exps) if c != 0]
+    live = [(v, e) for v, e in pairs if v < e]
     seq = []
     k = 0
     while live:
@@ -217,39 +230,35 @@ def _heights(p: int, exps: Sequence[int], coords: Sequence[int]):
     return tuple(seq)
 
 
-def _primary_parts(factors: Sequence[int]):
-    """For each prime p, the position and p-exponent of every factor p divides.
+def _orbit_profile(base: Sequence[int], factors: Sequence[int], coords: Sequence[int], d: int):
+    """Orbit invariant of the coset coords + d*T: one height sequence per base element.
 
-    Factorizes each factor once; the parts are shared by every element of
-    the group whose orbit profile is taken.
-    """
-    parts: dict[int, list[tuple[int, int]]] = {}
-    for k, m in enumerate(factors):
-        for p, e in _factorize(m).items():
-            parts.setdefault(p, []).append((k, e))
-    return tuple((p, tuple(ks)) for p, ks in sorted(parts.items()))
+    ``base`` is a coprime base of the factors mi, of gcd(ci, mi) and of
+    gcd(d, mk).  For a base element b, the pair of coordinate i is
+    (Vi, Ei) with Ei = v_b(mi) and Vi = v_b(gcd(ci, mi)) capped at
+    K = v_b(gcd(d, mk)).  The cap is the coset: in the p-part d*T is
+    p^k*T_p, and setting every coordinate of valuation >= k to p^k (0 once
+    k >= e) gives the coset's element of pointwise least heights;
+    automorphisms carry cosets to cosets and keep heights.  For d = 0,
+    gcd(d, mk) = mk and the cap changes nothing.  The exponents matter: in
+    Z/2 x Z/4 with d = 2, (1, 0) and (0, 1) share an orbit of T/2T but not
+    modulo 2T.
 
-
-def _orbit_profile(parts, coords: Sequence[int], d: int):
-    """Orbit invariant of the coset coords + d*T: per-prime height sequences.
-
-    In the p-part, d*T = p^k*T_p with k = v_p(d) (no coset for d = 0).  The
-    coset holds every element that agrees with coords on the coordinates of
-    valuation < k and has valuation >= k, or is 0, on the others; setting
-    those to p^k (0 once k >= e) gives its element of pointwise least
-    heights.  Automorphisms carry cosets of p^k*T to cosets and keep
-    heights, so two cosets share an orbit exactly when these agree.  The
-    exponents e matter: in Z/2 x Z/4 with d = 2, (1, 0) and (0, 1) share an
-    orbit of T/2T but not modulo 2T.
+    This is exact without factoring.  Every number refined into the base is
+    a product of powers of its elements, so for a prime p dividing b every
+    p-valuation above is v_p(b) times the b-exponent.  The p-sequence of
+    pairs scaled by a = v_p(b) is fixed by, and fixes, the b-sequence: as a
+    function of real t, the first is a times the second at t / a.  So two
+    profiles agree exactly when the per-prime height sequences of
+    Hillar & Rhea (2007) agree at every prime.
     """
     profile = []
-    for p, ks in parts:
-        exps = [e for _, e in ks]
-        cut = [coords[i] % p**e for i, e in ks]
-        if d:
-            k = _p_valuation(p, d)
-            cut = [c if c and _p_valuation(p, c) < k else p**k % p**e for c, e in zip(cut, exps)]
-        profile.append((p, _heights(p, exps, cut)))
+    for b in base:
+        cap = _valuation(b, math.gcd(d, factors[-1]))
+        profile.append(_heights([
+            (min(_valuation(b, math.gcd(c, m)), cap), _valuation(b, m))
+            for c, m in zip(coords, factors)
+        ]))
     return tuple(profile)
 
 
@@ -260,7 +269,8 @@ def pointed_is_isomorphic(a: PointedGroup, b: PointedGroup) -> bool:
     A in GL_r(Z), phi: Z^r -> T any map and alpha in Aut(T).  So (f, t) and
     (g, s) share an orbit exactly when f and g have the same content d (gcd
     of the free coordinates, 0 for none) and some alpha puts alpha t in
-    s + d*T, which ``_orbit_profile`` decides with no search.
+    s + d*T, which ``_orbit_profile`` decides over one coprime base of both
+    points, with gcds only.
     """
     # canonical forms are complete invariants, so isomorphic groups are equal
     if a.group != b.group:
@@ -268,6 +278,13 @@ def pointed_is_isomorphic(a: PointedGroup, b: PointedGroup) -> bool:
     d = math.gcd(*a.point.free_coords)
     if d != math.gcd(*b.point.free_coords):
         return False
-    parts = _primary_parts(a.group.torsion_factors)
+    factors = a.group.torsion_factors
+    if not factors:
+        return True
     ta, tb = a.point.torsion_coords, b.point.torsion_coords
-    return _orbit_profile(parts, ta, d) == _orbit_profile(parts, tb, d)
+    base = _coprime_base((
+        *factors,
+        *(math.gcd(c, m) for t in (ta, tb) for c, m in zip(t, factors) if c),
+        math.gcd(d, factors[-1]),
+    ))
+    return _orbit_profile(base, factors, ta, d) == _orbit_profile(base, factors, tb, d)

@@ -13,13 +13,13 @@ the request.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, count
 
 from .errors import PreconditionError, ShapeError, VerificationError
 from .groups import (
     FgAbelianGroup,
     GroupElement,
     PointedGroup,
-    _factorize,
     from_presentation,
     pointed_is_isomorphic,
 )
@@ -40,6 +40,19 @@ class RealizationPlan:
     invariant: MarkovInvariant
 
 
+def _factorize(n: int) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for d in chain((2,), count(3, 2)):
+        if d * d > n:
+            break
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
 def choose_shape(group: FgAbelianGroup, sign: int) -> tuple[int, ...]:
     """Diagonal parameters realizing the group with the requested sign.
 
@@ -48,6 +61,7 @@ def choose_shape(group: FgAbelianGroup, sign: int) -> tuple[int, ...]:
     cyclic factor, and trailing ones only flip the determinant's sign by
     adjusting the matrix size parity.
     """
+    _check_ints("sign", (sign,))
     if sign not in (-1, 0, 1):
         raise PreconditionError("sign must be -1, 0 or 1")
     if (sign == 0) != (not group.is_finite):

@@ -396,3 +396,89 @@ def pointed_orbit_brute_force(a: PointedGroup, b: PointedGroup) -> bool:
         all((y - s) % m == 0 for y, s, m in zip(ys, target, mods))
         for ys in aut_orbit(factors, a.point.torsion_coords)
     )
+
+
+# ---------------------------------------------------------------------------
+# factoring oracle for the pointed decision
+
+
+def prime_factorization(n: int) -> dict[int, int]:
+    """Prime exponents of n >= 1, by trial division up to sqrt(n)."""
+    out: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def p_valuation(p: int, x: int) -> int:
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def p_heights(p: int, exps: Sequence[int], coords: Sequence[int]) -> tuple:
+    """Height sequence of coords in the sum of Z/p^e over exps, coords reduced.
+
+    The heights of x, p*x, p^2*x, ... up to the first infinity; a nonzero
+    coordinate of valuation v in Z/p^e contributes v + k to the height of
+    p^k * x while v + k < e.
+    """
+    live = [(p_valuation(p, c), e) for c, e in zip(coords, exps) if c != 0]
+    seq = []
+    k = 0
+    while live:
+        seq.append(min(v for v, _ in live) + k)
+        k += 1
+        live = [(v, e) for v, e in live if v + k < e]
+    seq.append(math.inf)
+    return tuple(seq)
+
+
+def prime_orbit_profile(factors: Sequence[int], coords: Sequence[int], d: int, factorize=prime_factorization):
+    """Orbit invariant of the coset coords + d*T: per-prime height sequences.
+
+    In the p-part, d*T = p^k*T_p with k = v_p(d) (no coset for d = 0).
+    Setting every coordinate of valuation >= k to p^k (0 once k >= e)
+    gives the coset's element of pointwise least heights, and
+    automorphisms carry cosets to cosets and keep heights (Hillar & Rhea
+    2007).
+    """
+    parts: dict[int, list[tuple[int, int]]] = {}
+    for i, m in enumerate(factors):
+        for p, e in factorize(m).items():
+            parts.setdefault(p, []).append((i, e))
+    profile = []
+    for p, ies in sorted(parts.items()):
+        exps = [e for _, e in ies]
+        cut = [coords[i] % p**e for i, e in ies]
+        if d:
+            k = p_valuation(p, d)
+            cut = [c if c and p_valuation(p, c) < k else p**k % p**e for c, e in zip(cut, exps)]
+        profile.append((p, p_heights(p, exps, cut)))
+    return tuple(profile)
+
+
+def pointed_by_factoring(a: PointedGroup, b: PointedGroup, factorize=prime_factorization) -> bool:
+    """Pointed-isomorphism oracle that factors every torsion factor.
+
+    Equal groups, equal content d of the free parts, then equal per-prime
+    profiles of the cosets t + d*T and s + d*T.  ``factorize`` maps a
+    factor to its prime exponents; trial division by default.
+    """
+    if a.group != b.group:
+        return False
+    d = math.gcd(*a.point.free_coords)
+    if d != math.gcd(*b.point.free_coords):
+        return False
+    factors = a.group.torsion_factors
+    return prime_orbit_profile(factors, a.point.torsion_coords, d, factorize) == prime_orbit_profile(
+        factors, b.point.torsion_coords, d, factorize
+    )

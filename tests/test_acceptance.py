@@ -35,7 +35,7 @@ from markovshift import (
     smith_normal_form,
 )
 from markovshift.cohomology import LocallyConstantFn
-from markovshift.groups import _orbit_profile, _primary_parts
+from markovshift.groups import _coprime_base, _orbit_profile
 
 from _support import (
     all_shapes_up_to,
@@ -148,14 +148,17 @@ def test_criterion_04_pointed_decision_vs_brute_force():
             # sandwich certificate: the closure orbit sits inside the true
             # orbit, which sits inside the equal-height class; equality of
             # the two ends proves both computations exact on this group
-            parts = _primary_parts(factors)
+            # (one coprime base serves every element of the group)
+            base = _coprime_base(
+                [*factors, *(math.gcd(c, m) for x in members for c, m in zip(x.torsion_coords, factors))]
+            )
             by_profile: dict[object, set] = {}
             for x in members:
-                key = _orbit_profile(parts, x.torsion_coords, 0)
+                key = _orbit_profile(base, factors, x.torsion_coords, 0)
                 by_profile.setdefault(key, set()).add(x.torsion_coords)
             for x in members:
                 closure = aut_orbit(factors, x.torsion_coords)
-                height_class = by_profile[_orbit_profile(parts, x.torsion_coords, 0)]
+                height_class = by_profile[_orbit_profile(base, factors, x.torsion_coords, 0)]
                 assert closure == frozenset(height_class)
             pointed_elements.extend(PointedGroup(group, x) for x in members)
         for a in pointed_elements:

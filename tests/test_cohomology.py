@@ -45,6 +45,16 @@ class TestLocallyConstantFn:
         with pytest.raises(ShapeError, match="function value 0.5 is not an integer"):
             LocallyConstantFn.over(FULL2, 1, {(1,): 0.5, (2,): -0.5})
 
+    def test_non_integer_key_symbol_rejected(self):
+        # (True,) and (2.0,) compare equal to (1,) and (2,), so the
+        # admissibility check alone accepted and stored them
+        with pytest.raises(ShapeError, match="word symbol True is not an integer"):
+            LocallyConstantFn.over(FULL2, 1, {(True,): 1, (2,): -1})
+        with pytest.raises(ShapeError, match="word symbol 2.0 is not an integer"):
+            LocallyConstantFn.over(FULL2, 1, {(1,): 1, (2.0,): -1})
+        with pytest.raises(ShapeError, match="word symbol 1.0 is not an integer"):
+            LocallyConstantFn.over(FULL2, 2, {w: 0 for w in [(1, 1), (1.0, 2), (2, 1), (2, 2)]})
+
     def test_direct_construction_checks_values(self):
         for bad in (1.0, True, "1"):
             with pytest.raises(ShapeError, match="is not an integer"):

@@ -1,10 +1,12 @@
 import math
 import random
+import time
 from itertools import product
 
 import pytest
 
 import markovshift.groups
+import markovshift.realization
 from markovshift import (
     DomainError,
     FgAbelianGroup,
@@ -12,11 +14,14 @@ from markovshift import (
     IntMatrix,
     PointedGroup,
     ShapeError,
+    decide_coe,
+    decide_flow,
     from_presentation,
     pointed_is_isomorphic,
+    realize,
     tensor_z2,
 )
-from markovshift.groups import _heights, _orbit_profile, _primary_parts
+from markovshift.groups import _coprime_base, _heights, _orbit_profile, _valuation
 
 from _support import (
     OracleLimitError,
@@ -24,14 +29,16 @@ from _support import (
     apply_generator,
     apply_literal_automorphism,
     aut_orbit,
-    count_calls,
     elementary_automorphisms,
     elements,
     identity,
     literal_automorphism_tuples,
     mul_vector,
     orbit_brute_force,
+    p_valuation,
+    pointed_by_factoring,
     pointed_orbit_brute_force,
+    prime_orbit_profile,
     random_int_matrix,
     solve_linear,
 )
@@ -150,25 +157,53 @@ class TestIsIsomorphic:
 
 
 class TestHeightSequence:
-    # _heights takes the p-exponents of the factors: Z/8 + Z/2 is (3, 1) at p = 2
+    # _heights takes (valuation, exponent) pairs, v = e for a zero coordinate:
+    # 2 in Z/8 + Z/2 at p = 2 is (1, 3), and 0 in Z/2 is (1, 1)
     def test_zero_element(self):
-        assert _heights(2, (3,), (0,)) == (math.inf,)
+        assert _heights([(3, 3)]) == (math.inf,)
 
     def test_spec_values(self):
-        assert _heights(2, (3, 1), (2, 0)) == (1, 2, math.inf)
-        assert _heights(2, (3, 1), (1, 0)) == (0, 1, 2, math.inf)
+        assert _heights([(1, 3), (1, 1)]) == (1, 2, math.inf)
+        assert _heights([(0, 3), (1, 1)]) == (0, 1, 2, math.inf)
 
     def test_invariant_under_every_automorphism(self):
         for factors in [(4,), (2, 4), (2, 2), (8,), (3, 3), (9,)]:
             p = 2 if factors[0] % 2 == 0 else 3
             exps = [round(math.log(m, p)) for m in factors]
             assert [p**e for e in exps] == list(factors)
+
+            def pairs(coords):
+                return [(p_valuation(p, math.gcd(c, m)), e) for c, m, e in zip(coords, factors, exps)]
+
             autos = literal_automorphism_tuples(factors)
             for coords in product(*(range(m) for m in factors)):
-                h = _heights(p, exps, coords)
+                h = _heights(pairs(coords))
                 for images in autos:
                     moved = apply_literal_automorphism(images, coords, factors)
-                    assert _heights(p, exps, moved) == h
+                    assert _heights(pairs(moved)) == h
+
+
+class TestCoprimeBase:
+    def test_refines_by_gcds(self):
+        assert _coprime_base([12, 18]) == (2, 3)
+        assert _coprime_base([36, 6]) == (6,)
+        assert _coprime_base([6, 10, 15]) == (2, 3, 5)
+        assert _coprime_base([1, 1]) == ()
+        assert _coprime_base([7, 7, 49]) == (7,)
+
+    def test_pairwise_coprime_and_spans_the_inputs(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            numbers = [math.prod(rng.choice((2, 3, 5, 6, 10, 12, 30, 49)) for _ in range(rng.randint(0, 4)))
+                       for _ in range(rng.randint(1, 6))]
+            base = _coprime_base(numbers)
+            assert all(b > 1 for b in base)
+            assert all(math.gcd(x, y) == 1 for i, x in enumerate(base) for y in base[i + 1:])
+            for n in numbers:
+                rest = n
+                for b in base:
+                    rest //= b ** _valuation(b, rest)
+                assert rest == 1, (numbers, base, n)
 
 
 class TestPointedIsomorphic:
@@ -299,17 +334,116 @@ class TestPointedIsomorphic:
         c = pointed((3,) * 6, (0, 0, 0, 0, 0, 0), free_rank=1, free=(3,))
         assert not pointed_is_isomorphic(a, c)
 
-    def test_factorizes_each_torsion_factor_once(self, monkeypatch):
-        calls = count_calls(monkeypatch, markovshift.groups, "_factorize")
+    def test_decides_without_factoring(self, monkeypatch):
+        # the only factoring left in the package is the realization's split
+        # of a requested group; no decision may reach it
+        assert not hasattr(markovshift.groups, "_factorize")
+        g = FgAbelianGroup(0, (4, 12))
+        one, same, double = (realize(g, g.element((), t), 1)[0] for t in [(1, 1), (3, 7), (2, 2)])
+
+        def refuse(n):
+            raise AssertionError(f"factored {n}")
+
+        monkeypatch.setattr(markovshift.realization, "_factorize", refuse)
+        assert decide_coe(one, same).equivalent
+        assert decide_flow(one, double).equivalent
+        assert not decide_coe(one, double).equivalent
         m = 2 * 1099511627791
         assert pointed_is_isomorphic(pointed((m,), (1,)), pointed((m,), (3,)))
-        assert calls == [m]
-        # both cosets' profiles share one split
-        calls.clear()
+        assert not pointed_is_isomorphic(pointed((m,), (1,)), pointed((m,), (2,)))
         assert pointed_is_isomorphic(
             pointed((4, 12), (1, 1), 1, (2,)), pointed((4, 12), (3, 7), 1, (2,))
         )
-        assert calls == [4, 12]
+        assert not pointed_is_isomorphic(
+            pointed((2, 4), (1, 0), 1, (2,)), pointed((2, 4), (0, 1), 1, (2,))
+        )
+
+
+MERSENNE_61 = 2**61 - 1
+MERSENNE_89 = 2**89 - 1
+HUGE = MERSENNE_61 * MERSENNE_89
+
+
+def factor_over_mersennes(n):
+    """Prime exponents of a product of the two Mersenne primes M61 and M89."""
+    out = {p: p_valuation(p, n) for p in (MERSENNE_61, MERSENNE_89)}
+    assert math.prod(p**e for p, e in out.items()) == n
+    return {p: e for p, e in out.items() if e}
+
+
+class TestHugeModulus:
+    # m = (2^61 - 1)(2^89 - 1): trial division up to sqrt(m) ~ 2^75 would
+    # never end, so these decisions finishing at all shows nothing factors
+    ELEMENTS = (
+        0, 1, 2, 3, MERSENNE_61, 5 * MERSENNE_61, MERSENNE_89, 7 * MERSENNE_89,
+        HUGE - 1, HUGE - MERSENNE_61, 2**100 % HUGE, (3**150) % HUGE,
+    )
+
+    def test_cyclic_orbits_are_gcd_classes(self):
+        # in a cyclic group Z/m, x ~ y exactly when gcd(x, m) = gcd(y, m)
+        started = time.perf_counter()
+        for x in self.ELEMENTS:
+            for y in self.ELEMENTS:
+                expected = math.gcd(x, HUGE) == math.gcd(y, HUGE)
+                assert pointed_is_isomorphic(pointed((HUGE,), (x,)), pointed((HUGE,), (y,))) == expected
+        assert time.perf_counter() - started < 1.0
+
+    def test_noncyclic_shape_and_free_part(self):
+        started = time.perf_counter()
+        shapes = [(0, (MERSENNE_61, HUGE)), (1, (MERSENNE_61, HUGE)), (2, (HUGE, HUGE * MERSENNE_89))]
+        contents = (0, 1, MERSENNE_61, 2 * MERSENNE_89)
+        decided = positives = 0
+        for rank, factors in shapes:
+            g = FgAbelianGroup(rank, factors)
+            for da in contents if rank else (0,):
+                for db in (da, MERSENNE_61) if rank else (0,):
+                    fa, fb = (da, 0)[:rank], (-db, 0)[:rank]
+                    for t in product(self.ELEMENTS[:6], repeat=2):
+                        for s in product(self.ELEMENTS[3:8], repeat=2):
+                            a = PointedGroup(g, g.element(fa, t))
+                            b = PointedGroup(g, g.element(fb, s))
+                            got = pointed_is_isomorphic(a, b)
+                            assert got == pointed_by_factoring(a, b, factor_over_mersennes), (
+                                rank, factors, da, db, t, s
+                            )
+                            decided += 1
+                            positives += got
+        assert decided == 15_300 and 1000 < positives < decided - 1000
+        # each decision and its oracle take well under a millisecond
+        assert time.perf_counter() - started < 20.0
+
+
+class TestFactoringOracleAgreement:
+    SHAPES = [(6,), (36,), (6, 36), (2, 6, 30), (30, 900), (4, 12), (2, 2, 4), (12, 72), (3, 9, 27), (10, 100)]
+
+    def test_seeded_pairs_agree(self):
+        rng = random.Random(2024)
+        pairs = positives = 0
+        for factors in self.SHAPES:
+            gens = elementary_automorphisms(factors)
+            for rank in (0, 1, 2):
+                g = FgAbelianGroup(rank, factors)
+                for _ in range(100):
+                    d = rng.choice((0, 1, 2, 3, 5, 6, 10, 12, 30, 60, 7)) if rank else 0
+                    fa = (d, 0)[:rank]
+                    fb = (-d,) if rank == 1 else (2 * d, 3 * d)[:rank]
+                    t = tuple(rng.randrange(m) for m in factors)
+                    if rng.random() < 0.5:
+                        s = tuple(rng.randrange(m) for m in factors)
+                    else:
+                        # an image of t under an automorphism, moved inside t + d*T
+                        s = t
+                        for _ in range(rng.randint(0, 8)):
+                            s = apply_generator(rng.choice(gens), s, factors)
+                        s = tuple((c + d * rng.randrange(m)) % m for c, m in zip(s, factors))
+                    a = PointedGroup(g, g.element(fa, t))
+                    b = PointedGroup(g, g.element(fb, s))
+                    got = pointed_is_isomorphic(a, b)
+                    assert got == pointed_by_factoring(a, b), (factors, rank, d, t, s)
+                    pairs += 1
+                    positives += got
+        assert pairs == 3000
+        assert positives > 1000
 
 
 class TestOrbitBruteForce:
@@ -352,17 +486,24 @@ class TestAgreementSweep:
         for factors in all_shapes_up_to(32):
             g = FgAbelianGroup(0, factors)
             members = elements(g)
-            parts = _primary_parts(factors)
-            by_profile = {}
+            # one coprime base serves every element of the group
+            base = _coprime_base(
+                [*factors, *(math.gcd(c, m) for x in members for c, m in zip(x.torsion_coords, factors))]
+            )
+            by_profile, by_primes = {}, {}
             for x in members:
-                by_profile.setdefault(_orbit_profile(parts, x.torsion_coords, 0), set()).add(
+                by_profile.setdefault(_orbit_profile(base, factors, x.torsion_coords, 0), set()).add(
+                    x.torsion_coords
+                )
+                by_primes.setdefault(prime_orbit_profile(factors, x.torsion_coords, 0), set()).add(
                     x.torsion_coords
                 )
             for x in members:
                 orbit = aut_orbit(factors, x.torsion_coords)
                 # sandwich: closure is contained in the true orbit, which is
                 # contained in the height class; equality pins both
-                assert orbit == frozenset(by_profile[_orbit_profile(parts, x.torsion_coords, 0)])
+                assert orbit == frozenset(by_profile[_orbit_profile(base, factors, x.torsion_coords, 0)])
+                assert orbit == frozenset(by_primes[prime_orbit_profile(factors, x.torsion_coords, 0)])
 
 
 class TestMixedAgreementSweep:

@@ -59,6 +59,15 @@ class TestChooseShape:
         with pytest.raises(PreconditionError):
             choose_shape(FgAbelianGroup(0), 2)
 
+    def test_non_integer_sign_rejected(self):
+        # True == 1 and 1.0 == 1, so a range check alone realized both as +1
+        g = FgAbelianGroup(0, (3,))
+        for bad in (True, 1.0, 0.0):
+            with pytest.raises(ShapeError, match=f"sign {bad!r} is not an integer"):
+                choose_shape(g, bad)
+            with pytest.raises(ShapeError, match=f"sign {bad!r} is not an integer"):
+                realize(g, g.zero(), bad)
+
     def test_sign_and_group_always_realized(self):
         shapes = [
             (FgAbelianGroup(0), -1),
