@@ -24,6 +24,7 @@ from .groups import (
 )
 from .shifts import (
     NonNegMatrix,
+    column_amalgamation,
     identity_minus,
     is_irreducible,
     is_permutation_matrix,
@@ -84,12 +85,20 @@ def _require_classifiable(a: NonNegMatrix) -> None:
 def invariant_triple(a: NonNegMatrix) -> MarkovInvariant:
     """Assemble the full invariant of an irreducible, non-permutation matrix.
 
-    One Smith form of id - A^t gives all three parts: the group, the point,
-    and det(id - A) = det(id - A^t), read off the same elimination.
+    The matrix is checked as given, then replaced by its total column
+    amalgamation B, a one-sided conjugate with the same invariant: an edge
+    shift shrinks back to the matrix it came from.  One Smith form of
+    id - B^t gives all three parts: the group, the point, and
+    det(id - A) = det(id - B^t), read off the same elimination.  Merging
+    states sends the all-ones vector of A to that of B, so the point is
+    the class of the all-ones vector of B.  Its coordinates depend on the
+    states of B, so points are compared with `pointed_is_isomorphic`,
+    never by their coordinates.
     """
     _require_classifiable(a)
-    pres = from_presentation(identity_minus(a, transpose=True))
-    point = pres.element_from_vector((1,) * a.size)
+    b = column_amalgamation(a)
+    pres = from_presentation(identity_minus(b, transpose=True))
+    point = pres.element_from_vector((1,) * b.size)
     return MarkovInvariant(group=pres.group, point=point, det_value=pres.snf.determinant)
 
 

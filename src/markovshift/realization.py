@@ -7,7 +7,10 @@ tails of that length onto the states to move the all-ones class onto the
 element, and finally recode the nonnegative matrix as a 0/1 edge shift.
 The stages only construct; ``realize`` verifies the result once, by
 recomputing the invariant of the returned matrix and matching it against
-the request.
+the request, the point with ``pointed_is_isomorphic``.  The returned edge
+shift merges back to the tail-extended matrix (``invariant_triple`` takes
+its column amalgamation), so that check costs a Smith form of the smaller
+size.
 """
 
 from __future__ import annotations
@@ -172,7 +175,8 @@ def realize(
 
     The triple must be admissible: sign 0 exactly for infinite groups.
     The returned matrix has been verified by recomputing its invariant and
-    matching it against the request.
+    matching it against the request; the point is matched up to a group
+    automorphism, since its coordinates depend on the states.
     """
     point = group.element(point.free_coords, point.torsion_coords)
     d = choose_shape(group, sign)

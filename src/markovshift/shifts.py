@@ -10,7 +10,7 @@ a nonnegative matrix, and higher-block recodings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterable
 
 from .errors import DomainError, ShapeError
@@ -307,6 +307,42 @@ def edge_shift(a: NonNegMatrix) -> ZeroOneMatrix:
     starts = [tuple(int(source == i) for source, _ in edges) for i in range(a.size)]
     rows = tuple(starts[target] for _, target in edges)
     return ZeroOneMatrix(rows)
+
+
+def column_amalgamation(a: NonNegMatrix) -> NonNegMatrix:
+    """Merge states with equal columns, pass after pass, until all columns differ.
+
+    States with equal columns have the same predecessors.  Merging them
+    keeps the first and adds the others' rows to it, which undoes an
+    out-splitting: a conjugacy of the one-sided shift, so the result has
+    the same invariant (Williams 1973).  Each pass merges every class of
+    equal columns at once; the result may have entries > 1.  A matrix
+    whose columns already differ is returned as it is.
+    """
+    # work on columns: they are what each pass hashes, and only the kept ones are rebuilt
+    columns = tuple(zip(*a.entries))
+    while True:
+        classes: dict[tuple[int, ...], list[int]] = {}
+        for j, column in enumerate(columns):
+            classes.setdefault(column, []).append(j)
+        if len(classes) == len(columns):
+            break
+        # classes are in order of their first states, which are the states kept
+        kept = [False] * len(columns)
+        others = []
+        for r, (first, *rest) in enumerate(classes.values()):
+            kept[first] = True
+            others += [(i, r) for i in rest]
+        merged = []
+        for column in classes:
+            entries = list(compress(column, kept))
+            for i, r in others:
+                entries[r] += column[i]
+            merged.append(tuple(entries))
+        columns = tuple(merged)
+    if len(columns) == a.size:
+        return a
+    return NonNegMatrix(tuple(zip(*columns)))
 
 
 def admissible_words(a: ZeroOneMatrix, k: int) -> list[tuple[int, ...]]:

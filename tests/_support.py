@@ -14,11 +14,14 @@ from markovshift import (
     GroupElement,
     IntMatrix,
     LocallyConstantFn,
+    MarkovInvariant,
     NonNegMatrix,
     PointedGroup,
     ShapeError,
     ZeroOneMatrix,
     admissible_words,
+    from_presentation,
+    identity_minus,
     is_irreducible,
     orbit_sum,
     smith_normal_form,
@@ -159,6 +162,38 @@ def random_nonneg(rng: random.Random, n: int, max_entry: int = 3) -> NonNegMatri
         m = NonNegMatrix.from_rows(rows)
         if is_irreducible(m):
             return m
+
+
+def random_out_split(rng: random.Random, a: NonNegMatrix) -> NonNegMatrix:
+    """Split one state by dividing its outgoing edges between two copies.
+
+    The copies keep every incoming edge, so their columns are equal; the
+    second copy is appended as the last state.
+    """
+    rows = [list(r) for r in a.entries]
+    s = rng.choice([i for i, r in enumerate(rows) if sum(r) >= 2])
+    edges = [t for t, count in enumerate(rows[s]) for _ in range(count)]
+    rng.shuffle(edges)
+    cut = rng.randint(1, len(edges) - 1)
+    first, second = [0] * a.size, [0] * a.size
+    for t in edges[:cut]:
+        first[t] += 1
+    for t in edges[cut:]:
+        second[t] += 1
+    rows[s] = first
+    rows.append(second)
+    return NonNegMatrix.from_rows(r + [r[s]] for r in rows)
+
+
+def invariant_unmerged(a: NonNegMatrix) -> MarkovInvariant:
+    """The invariant from one Smith form of id - A^t on the matrix as given.
+
+    No states are merged first, so this is an independent check of the
+    column amalgamation that ``invariant_triple`` runs.
+    """
+    pres = from_presentation(identity_minus(a, transpose=True))
+    point = pres.element_from_vector((1,) * a.size)
+    return MarkovInvariant(group=pres.group, point=point, det_value=pres.snf.determinant)
 
 
 def invariant_factor_chains(order: int) -> list[tuple[int, ...]]:

@@ -14,14 +14,27 @@ from markovshift import (
     decide_coe,
     decide_flow,
     determinant,
+    edge_shift,
     from_presentation,
     full_group_abelianization,
+    higher_block,
     identity_minus,
     invariant_triple,
+    pointed_is_isomorphic,
+    tail_extension,
+    validate,
 )
 from markovshift.realization import base_matrix
+from markovshift.shifts import column_amalgamation
 
-from _support import count_calls, kernel_basis, random_nonneg, random_zero_one
+from _support import (
+    count_calls,
+    invariant_unmerged,
+    kernel_basis,
+    random_nonneg,
+    random_out_split,
+    random_zero_one,
+)
 
 FULL2 = ZeroOneMatrix.from_rows([[1, 1], [1, 1]])
 GOLDEN = ZeroOneMatrix.from_rows([[1, 1], [1, 0]])
@@ -107,7 +120,7 @@ class TestInvariantTriple:
         for m in matrices:
             calls.clear()
             invariant_triple(m)
-            assert calls == [identity_minus(m, transpose=True)]
+            assert calls == [identity_minus(column_amalgamation(m), transpose=True)]
         assert bareiss == []
 
     def test_determinant_agrees_with_bareiss(self):
@@ -143,6 +156,71 @@ class TestInvariantTriple:
             assert decide_coe(m, permuted).equivalent
             a, b = invariant_triple(m), invariant_triple(permuted)
             assert a.group == b.group and a.det_value == b.det_value
+
+
+class TestColumnAmalgamation:
+    """invariant_triple merges equal columns; the oracle runs on the matrix as given."""
+
+    @staticmethod
+    def assert_matches_unmerged(m):
+        merged = column_amalgamation(m)
+        assert len(set(zip(*merged.entries))) == merged.size
+        assert column_amalgamation(merged) is merged
+        got, want = invariant_triple(m), invariant_unmerged(m)
+        assert got.group == want.group
+        assert got.det_value == want.det_value
+        assert pointed_is_isomorphic(got.pointed, want.pointed)
+        return merged
+
+    def test_planted_duplicate_column(self):
+        rng = random.Random(131)
+        checked = 0
+        while checked < 150:
+            rows = [list(r) for r in random_nonneg(rng, rng.randint(2, 6), rng.choice((1, 3))).entries]
+            i, j = rng.sample(range(len(rows)), 2)
+            for row in rows:
+                row[i] = row[j]
+            if not validate(rows).classifiable:
+                continue
+            m = NonNegMatrix.from_rows(rows)
+            assert self.assert_matches_unmerged(m).size < m.size
+            checked += 1
+
+    def test_edge_shifts_and_out_splits(self):
+        rng = random.Random(132)
+        for _ in range(40):
+            m = random_nonneg(rng, rng.randint(1, 4))
+            shift = edge_shift(m)
+            assert self.assert_matches_unmerged(shift).size <= m.size
+            split = m
+            for _ in range(rng.randint(1, 3)):
+                split = random_out_split(rng, split)
+            assert self.assert_matches_unmerged(split).size <= m.size
+
+    def test_higher_blocks(self):
+        rng = random.Random(133)
+        for _ in range(20):
+            m = random_zero_one(rng, rng.randint(2, 4), density=0.6)
+            for k in (2, 3):
+                assert self.assert_matches_unmerged(higher_block(m, k)).size <= m.size
+
+    def test_edge_shift_with_large_torsion(self):
+        # Z + (Z/3)^6 with free content 1
+        extended = tail_extension(base_matrix((0, 0, 3, 3, 3, 3, 3, 3)), (1, 0, 0, 0, 0, 0, 0, 0))
+        final = edge_shift(extended)
+        assert self.assert_matches_unmerged(final) == extended
+        assert invariant_triple(final).group == FgAbelianGroup(1, (3,) * 6)
+
+    def test_equal_rows_are_not_merged(self):
+        # rows 1 and 2 agree, the columns differ; merging the rows instead
+        # would give [[1, 1], [2, 0]], whose point is the other element of Z/2
+        m = ZeroOneMatrix.from_rows([[0, 1, 1], [0, 1, 1], [1, 1, 0]])
+        assert column_amalgamation(m) is m
+        inv = invariant_triple(m)
+        rows_merged = invariant_unmerged(NonNegMatrix.from_rows([[1, 1], [2, 0]]))
+        assert inv.group == rows_merged.group == FgAbelianGroup(0, (2,))
+        assert inv.det_value == rows_merged.det_value
+        assert not pointed_is_isomorphic(inv.pointed, rows_merged.pointed)
 
 
 class TestDecisions:

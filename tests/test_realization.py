@@ -28,6 +28,7 @@ from markovshift import (
     tail_extension,
     validate,
 )
+from markovshift.shifts import column_amalgamation
 
 from _support import count_calls, elements
 
@@ -287,9 +288,10 @@ class TestRealize:
         for group, free, torsion, sign in triples:
             snf.clear()
             matrix, plan = realize(group, group.element(free, torsion), sign)
-            # one presentation of the base matrix, one of the returned matrix,
-            # whose Smith form also gives the determinant
-            assert [m.rows for m in snf] == [plan.base.size, matrix.size]
+            # one presentation of the base matrix, one of the returned matrix's
+            # column amalgamation, whose Smith form also gives the determinant
+            assert [m.rows for m in snf] == [plan.base.size, column_amalgamation(matrix).size]
+            assert snf[1].rows <= plan.extended.size
             assert bareiss == []
 
     def test_no_transform_matrix_is_built(self, monkeypatch):

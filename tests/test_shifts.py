@@ -19,6 +19,7 @@ from markovshift import (
     periodic_orbit_words,
     validate,
 )
+from markovshift.shifts import column_amalgamation
 
 from _support import allows, least_rotation_period, pairs_allowed, random_nonneg, random_zero_one
 
@@ -348,6 +349,31 @@ class TestEdgeShift:
             out = edge_shift(m)
             for p in range(1, 7):
                 assert count_period_points(m, p) == count_period_points(out, p)
+
+
+class TestColumnAmalgamation:
+    def test_full_shift_merges_to_one_state(self):
+        assert column_amalgamation(FULL2).entries == ((2,),)
+
+    def test_repeats_until_columns_differ(self):
+        # the first pass merges the 3-words by their first two symbols, the second by the first
+        assert column_amalgamation(higher_block(FULL2, 3)).entries == ((2,),)
+        assert column_amalgamation(higher_block(GOLDEN, 3)).entries == GOLDEN.entries
+
+    def test_distinct_columns_return_the_input(self):
+        for m in (GOLDEN, NonNegMatrix.from_rows([[2, 1], [1, 0]])):
+            assert column_amalgamation(m) is m
+
+    def test_edge_shift_amalgamates_back(self):
+        rng = random.Random(451)
+        for _ in range(30):
+            m = random_nonneg(rng, rng.randint(1, 5))
+            merged = column_amalgamation(edge_shift(m))
+            assert merged.size <= m.size
+            assert len(set(zip(*merged.entries))) == merged.size
+            assert column_amalgamation(merged) is merged
+            if len(set(zip(*m.entries))) == m.size:
+                assert merged == m
 
 
 class TestHigherBlock:
