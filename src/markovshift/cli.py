@@ -25,7 +25,7 @@ from .errors import (
     VerificationError,
 )
 from .fileio import (
-    format_word,
+    format_words,
     matrix_from_rows,
     read_function_file,
     read_matrix_rows,
@@ -199,6 +199,7 @@ def _cmd_positivity(args) -> tuple[dict, int]:
     except DomainError as exc:
         raise _InvalidInput(f"{args.function}: {exc}") from None
     result = is_positive_class(matrix, fn)
+    words = sorted(fn.values)
     report = {
         "command": "positivity",
         "inputs": {
@@ -206,13 +207,11 @@ def _cmd_positivity(args) -> tuple[dict, int]:
             "function": {
                 "path": str(args.function),
                 "window": fn.window,
-                "values": {
-                    format_word(w, matrix.size): fn.values[w] for w in sorted(fn.values)
-                },
+                "values": dict(zip(format_words(words, matrix.size), map(fn.values.get, words))),
             },
         },
         "positive": result.positive,
-        "witness": format_word(result.witness, matrix.size) if result.witness else None,
+        "witness": format_words([result.witness], matrix.size)[0] if result.witness else None,
     }
     return report, EXIT_OK if result.positive else EXIT_NEGATIVE
 
@@ -222,9 +221,9 @@ def _cmd_periodic(args) -> tuple[dict, int]:
     if args.period < 1:
         raise _InvalidInput("period bound must be at least 1")
     reps = periodic_orbit_words(matrix, args.period)
-    by_length: dict[int, list[tuple[int, ...]]] = {}
-    for w in reps:
-        by_length.setdefault(len(w), []).append(w)
+    by_length: dict[int, list[str]] = {}
+    for w, name in zip(reps, format_words(reps, matrix.size)):
+        by_length.setdefault(len(w), []).append(name)
     periods = []
     for q in range(1, args.period + 1):
         fixed = count_period_points(matrix, q)
@@ -235,9 +234,7 @@ def _cmd_periodic(args) -> tuple[dict, int]:
         periods.append(
             {
                 "period": q,
-                "orbit_representatives": [
-                    format_word(w, matrix.size) for w in by_length.get(q, [])
-                ],
+                "orbit_representatives": by_length.get(q, []),
                 "points_fixed_by_power": fixed,
                 "orbits_with_period_dividing": orbits_dividing,
                 "crosscheck_ok": fixed == weighted,
@@ -291,7 +288,10 @@ def _render_text(report: dict) -> str:
         )
     elif cmd == "realize":
         lines.append(f"realized triple: ({report['triple']['group']}, point free {report['triple']['point_free']} torsion {report['triple']['point_torsion']}, sign {report['triple']['sign']})")
-        lines.append(f"diagonal parameters: {report['plan']['d_list']}")
+        if report["plan"]["d_list"]:
+            lines.append(f"diagonal parameters: {report['plan']['d_list']}")
+        else:
+            lines.append(f"cyclic base: {report['plan']['base_matrix']}")
         lines.append(f"tail lengths: {report['plan']['c_vector']}")
         lines.append(f"final matrix size: {len(report['plan']['final_matrix'])}")
         lines.append("verification: ok")

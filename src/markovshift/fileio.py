@@ -50,12 +50,12 @@ def parse_matrix_rows(text: str) -> list[list[int]]:
     rows = []
     for lineno, body in lines[1:]:
         try:
-            row = [int(tok) for tok in body.split()]
+            row = list(map(int, body.split()))
         except ValueError:
             raise ParseError(f"row is not a list of integers: {body!r}", lineno) from None
         if len(row) != n:
             raise ParseError(f"expected {n} entries, found {len(row)}", lineno)
-        if any(x < 0 for x in row):
+        if min(row) < 0:
             raise ParseError("matrix entries must be nonnegative", lineno)
         rows.append(row)
     return rows
@@ -67,8 +67,7 @@ def read_matrix_rows(path) -> list[list[int]]:
 
 def matrix_from_rows(rows) -> NonNegMatrix:
     """Typed matrix for parsed rows: 0/1 contents give the stricter type."""
-    binary = all(x <= 1 for row in rows for x in row)
-    if binary and len(rows) >= 2:
+    if len(rows) >= 2 and max(map(max, rows)) <= 1:
         return ZeroOneMatrix.from_rows(rows)
     return NonNegMatrix.from_rows(rows)
 
@@ -84,10 +83,11 @@ def write_matrix_file(path, matrix) -> None:
     Path(path).write_text(format_matrix(matrix), encoding="utf-8")
 
 
-def format_word(word, alphabet_size: int) -> str:
-    if alphabet_size <= 9:
-        return "".join(str(s) for s in word)
-    return ",".join(str(s) for s in word)
+def format_words(words, alphabet_size: int) -> list[str]:
+    """Digit strings for alphabets up to 9 symbols, comma-separated numbers beyond."""
+    names = [str(s) for s in range(alphabet_size + 1)]
+    separator = "" if alphabet_size <= 9 else ","
+    return [separator.join(map(names.__getitem__, w)) for w in words]
 
 
 def parse_word(token: str, alphabet_size: int) -> tuple[int, ...]:

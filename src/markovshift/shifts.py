@@ -14,7 +14,7 @@ from itertools import chain, compress
 from typing import Iterable
 
 from .errors import DomainError, ShapeError
-from .intmat import IntMatrix, _check_ints
+from .intmat import IntMatrix, _check_ints, _is_int
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,9 @@ def lex_min_rotation(word) -> tuple[int, ...]:
 
 
 def _adjacency(a: NonNegMatrix) -> list[list[int]]:
-    return [[j for j, x in enumerate(row) if x >= 1] for row in a.entries]
+    # entries are nonnegative, so a nonzero entry is exactly an edge
+    states = range(a.size)
+    return [list(compress(states, row)) for row in a.entries]
 
 
 def _reachable(adj: list[list[int]], start: int) -> set[int]:
@@ -191,31 +193,36 @@ def validate(matrix) -> Diagnostics:
     raised.  A matrix with no issues is safe for every decision procedure
     in this package.
     """
+    # whole-row passes; only a failed one walks the entries, to name what failed
     if isinstance(matrix, NonNegMatrix):
-        rows = [list(r) for r in matrix.entries]
+        rows = matrix.entries
     else:
-        rows = [list(r) for r in matrix]
+        rows = tuple(map(tuple, matrix))
     issues: list[Issue] = []
     n = len(rows)
     if n == 0:
         return Diagnostics((Issue("empty", "matrix has no rows"),))
     if any(len(r) != n for r in rows):
         return Diagnostics((Issue("not_square", "matrix is not square"),))
-    if any(not isinstance(x, int) or isinstance(x, bool) for r in rows for x in r):
+    if set(map(type, chain.from_iterable(rows))) != {int} and not all(
+        map(_is_int, chain.from_iterable(rows))
+    ):
         return Diagnostics((Issue("bad_entry", "entries must be integers"),))
-    if any(x < 0 for r in rows for x in r):
+    if min(map(min, rows)) < 0:
         return Diagnostics((Issue("negative_entry", "entries must be nonnegative"),))
-    for i, row in enumerate(rows):
-        if all(x == 0 for x in row):
-            issues.append(Issue("zero_row", f"row {i + 1} is identically zero"))
-    for j in range(n):
-        if all(row[j] == 0 for row in rows):
-            issues.append(Issue("zero_column", f"column {j + 1} is identically zero"))
-    if n < 2 and all(x <= 1 for r in rows for x in r):
+    if not all(map(any, rows)):
+        for i, row in enumerate(rows):
+            if not any(row):
+                issues.append(Issue("zero_row", f"row {i + 1} is identically zero"))
+    if not all(map(any, zip(*rows))):
+        for j, column in enumerate(zip(*rows)):
+            if not any(column):
+                issues.append(Issue("zero_column", f"column {j + 1} is identically zero"))
+    if n == 1 and rows[0][0] <= 1:
         issues.append(Issue("too_small", "a 0/1 transition matrix needs at least 2 states"))
     if issues:
         return Diagnostics(tuple(issues))
-    probe = NonNegMatrix.from_rows(rows)
+    probe = matrix if isinstance(matrix, NonNegMatrix) else NonNegMatrix(rows)
     if not is_irreducible(probe):
         issues.append(Issue("reducible", "the transition graph is not strongly connected"))
     elif is_permutation_matrix(probe):

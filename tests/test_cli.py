@@ -63,6 +63,86 @@ class TestValidateCommand:
         report = json.loads(out.stdout)
         assert [i["code"] for i in report["issues"]] == ["zero_column"]
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# nothing\n", "file contains no matrix"),
+            ("two\n1 1\n1 1\n", "line 1: expected the matrix size, got 'two'"),
+            ("0\n", "line 1: matrix size must be positive, got 0"),
+            ("3\n1 1 1\n1 1 1\n", "expected 3 rows, found 2"),
+            ("2\n1 1\n1 1\n5\n", "line 4: unexpected content after the matrix"),
+            ("2\n1 1\n1 x\n", "line 3: row is not a list of integers: '1 x'"),
+            ("2\n1 1 -1\n1 1\n", "line 2: expected 2 entries, found 3"),
+            ("2\n1 1\n-1 1\n", "line 3: matrix entries must be nonnegative"),
+        ],
+    )
+    def test_parse_errors_pinned(self, tmp_path, capsys, text, message):
+        p = tmp_path / "bad.txt"
+        p.write_text(text)
+        for command in ("validate", "invariant"):
+            assert main([command, str(p), "--json"]) == 2
+            report = json.loads(capsys.readouterr().out)
+            assert report == {"command": command, "error": {"kind": "parse_error", "message": message}}
+
+    @pytest.mark.parametrize(
+        "text, issues",
+        [
+            (
+                "3\n0 0 0\n1 0 1\n0 0 0\n",
+                [
+                    ("zero_row", "row 1 is identically zero"),
+                    ("zero_row", "row 3 is identically zero"),
+                    ("zero_column", "column 2 is identically zero"),
+                ],
+            ),
+            (
+                "3\n1 0 0\n1 0 0\n1 0 0\n",
+                [
+                    ("zero_column", "column 2 is identically zero"),
+                    ("zero_column", "column 3 is identically zero"),
+                ],
+            ),
+            (
+                "1\n0\n",
+                [
+                    ("zero_row", "row 1 is identically zero"),
+                    ("zero_column", "column 1 is identically zero"),
+                    ("too_small", "a 0/1 transition matrix needs at least 2 states"),
+                ],
+            ),
+            ("1\n1\n", [("too_small", "a 0/1 transition matrix needs at least 2 states")]),
+            ("2\n1 1\n0 1\n", [("reducible", "the transition graph is not strongly connected")]),
+            (
+                PERMUTATION,
+                [("condition_I", "permutation matrix: the shift space is finite, so every point is isolated")],
+            ),
+        ],
+    )
+    def test_issues_pinned(self, tmp_path, capsys, text, issues):
+        # validate answers 1 with the issues; other commands refuse with 2
+        p = tmp_path / "bad.txt"
+        p.write_text(text)
+        assert main(["validate", str(p), "--json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert [(i["code"], i["message"]) for i in report["issues"]] == issues
+        assert main(["invariant", str(p), "--json"]) == 2
+        details = "; ".join(message for _, message in issues)
+        assert json.loads(capsys.readouterr().out)["error"] == {
+            "kind": "invalid_input",
+            "message": f"{p}: matrix is not classifiable: {details}",
+        }
+
+    def test_entries_above_one_refused_where_0_1_is_needed(self, tmp_path, capsys):
+        p = tmp_path / "nonneg.txt"
+        p.write_text("2\n2 1\n1 0\n")
+        assert main(["validate", str(p), "--json"]) == 0
+        capsys.readouterr()
+        assert main(["periodic", str(p), "3", "--json"]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == {
+            "kind": "invalid_input",
+            "message": f"{p}: this command needs a 0/1 transition matrix",
+        }
+
     def test_parse_error_exit_2(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("2\n1 1\n")
@@ -170,6 +250,18 @@ class TestRealizeCommand:
         check = run_cli("invariant", str(target), "--json")
         inv = json.loads(check.stdout)["invariant"]
         assert inv["group"] == "Z/3" and inv["sign"] == 1 and inv["point_torsion"] == [0]
+
+    def test_text_report_names_the_plan(self):
+        # Z/3 at +1 ties and keeps the diagonal plan; Z/109 at -1 takes the cyclic base
+        diagonal = run_cli("realize", "--torsion", "3", "--sign", "1")
+        assert diagonal.returncode == 0
+        assert "diagonal parameters: [0, 3]" in diagonal.stdout
+        assert "cyclic base" not in diagonal.stdout
+        cyclic = run_cli("realize", "--torsion", "109", "--point", "108", "--sign", "-1")
+        assert cyclic.returncode == 0
+        assert "cyclic base: [[2, 11], [10, 2]]" in cyclic.stdout
+        assert "diagonal parameters" not in cyclic.stdout
+        assert "final matrix size: 25" in cyclic.stdout
 
     def test_z_plus_large_torsion_verifies(self):
         # |T| = 729: the pointed check of the realized matrix is exact

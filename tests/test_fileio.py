@@ -3,7 +3,7 @@ import pytest
 from markovshift import NonNegMatrix, ParseError, ZeroOneMatrix
 from markovshift.fileio import (
     format_matrix,
-    format_word,
+    format_words,
     matrix_from_rows,
     parse_function_text,
     parse_matrix_rows,
@@ -56,11 +56,12 @@ class TestMatrixParsing:
 
 class TestWordFormat:
     def test_compact_digits_small_alphabet(self):
-        assert format_word((1, 2, 1), 4) == "121"
+        assert format_words([(1, 2, 1), (), (4,)], 4) == ["121", "", "4"]
+        assert format_words([(9, 1)], 9) == ["91"]
         assert parse_word("121", 4) == (1, 2, 1)
 
     def test_commas_large_alphabet(self):
-        assert format_word((10, 2), 12) == "10,2"
+        assert format_words([(10, 2), (12,)], 12) == ["10,2", "12"]
         assert parse_word("10,2", 12) == (10, 2)
 
     def test_symbol_out_of_range(self):

@@ -4,13 +4,14 @@ import random
 import pytest
 
 from markovshift import (
-    FgAbelianGroup,
     IntMatrix,
     ShapeError,
+    base_matrix,
     determinant,
+    edge_shift,
     identity_minus,
-    realize,
     smith_normal_form,
+    tail_extension,
 )
 
 from _support import (
@@ -121,8 +122,8 @@ class TestSmithNormalForm:
         assert non_unit_diagonals >= 30
 
     def test_realized_edge_shift_relation(self):
-        group = FgAbelianGroup(0, (109,))
-        final, _plan = realize(group, group.element((), (108,)), -1)
+        # the diagonal-plan realization of Z/109 at the point -1, sign -1
+        final = edge_shift(tail_extension(base_matrix((0, 109, 1)), (0, 1, 0)))
         assert final.size == 123
         snf = snf_invariants_hold(identity_minus(final, transpose=True))
         assert snf.diagonal == (1,) * 122 + (109,)

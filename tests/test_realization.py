@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+from itertools import chain, product
 
 import pytest
 
@@ -28,7 +30,8 @@ from markovshift import (
     tail_extension,
     validate,
 )
-from markovshift.shifts import column_amalgamation
+from markovshift.realization import cyclic_base, cyclic_tails
+from markovshift.shifts import column_amalgamation, edge_shift
 
 from _support import count_calls, elements
 
@@ -231,7 +234,10 @@ class TestRealize:
         matrix, plan = realize(group, group.zero(), 1)
         inv = invariant_triple(matrix)
         assert inv.group == group and inv.sign == 1
+        # the cyclic base [[3, 1], [1, 3]] with tails (1, 0) ties at 9 states,
+        # and a tie keeps the diagonal plan
         assert plan.base.entries == ((2, 1), (1, 5))
+        assert plan.d_list == (0, 3) and matrix.size == 9
 
     def test_outputs_always_classifiable(self):
         cases = [
@@ -280,18 +286,22 @@ class TestRealize:
     def test_verified_once_on_the_returned_matrix(self, monkeypatch):
         snf = count_calls(monkeypatch, markovshift.groups, "smith_normal_form")
         bareiss = count_calls(monkeypatch, markovshift.intmat, "determinant")
+        # the diagonal plans present their base matrix once; Z/12 takes the
+        # cyclic base (11 states against the diagonal base's entry sum of 19),
+        # whose class map is closed-form, so it needs no Smith form of a base
         triples = [
-            (FgAbelianGroup(0, (2, 4)), (), (1, 2), 1),
-            (FgAbelianGroup(1, (2,)), (2,), (1,), 0),
-            (FgAbelianGroup(0, (12,)), (), (5,), -1),
+            (FgAbelianGroup(0, (2, 4)), (), (1, 2), 1, 2),
+            (FgAbelianGroup(1, (2,)), (2,), (1,), 0, 2),
+            (FgAbelianGroup(0, (12,)), (), (5,), -1, 1),
         ]
-        for group, free, torsion, sign in triples:
+        for group, free, torsion, sign, calls in triples:
             snf.clear()
             matrix, plan = realize(group, group.element(free, torsion), sign)
-            # one presentation of the base matrix, one of the returned matrix's
-            # column amalgamation, whose Smith form also gives the determinant
-            assert [m.rows for m in snf] == [plan.base.size, column_amalgamation(matrix).size]
-            assert snf[1].rows <= plan.extended.size
+            assert len(snf) == calls
+            assert [m.rows for m in snf[:-1]] == [plan.base.size] * (calls - 1)
+            # the last is the returned matrix's column amalgamation, whose
+            # Smith form also gives the determinant
+            assert snf[-1].rows == column_amalgamation(matrix).size <= plan.extended.size
             assert bareiss == []
 
     def test_no_transform_matrix_is_built(self, monkeypatch):
@@ -320,3 +330,160 @@ class TestRealize:
         group = FgAbelianGroup(0, (4,))
         with pytest.raises(VerificationError, match=f"realized matrix failed validation: {message}"):
             realize(group, group.element(torsion=(1,)), 1)
+
+
+def cyclic_group(m):
+    return FgAbelianGroup(0, (m,) if m > 1 else ())
+
+
+def cyclic_point(group, u):
+    return group.element((), (u,) if group.torsion_factors else ())
+
+
+def tail_box(base, sign):
+    """Bounds (k1, k2) with c1 < k1, c2 < k2 of the box that reaches every residue."""
+    (a, b), (c, d) = base.entries
+    return (c, b) if sign == -1 else (a - 1, d - 1)
+
+
+def diagonal_states(group, point, sign):
+    base = base_matrix(choose_shape(group, sign))
+    return edge_shift(tail_extension(base, point_vector(base, point))).size
+
+
+class TestCyclicBase:
+    def test_presents_z_m_with_the_signed_determinant(self):
+        for m in range(1, 301):
+            for sign in (-1, 1):
+                base, weights = cyclic_base(m, sign)
+                inv = invariant_triple(base)
+                assert inv.group == cyclic_group(m), (m, sign)
+                assert inv.det_value == sign * m
+                assert base.size == 2 and max(map(max, base.entries)) <= math.isqrt(m) + 2
+
+    def test_class_map(self):
+        # the weight-1 state is a generator g, and v has the class w.v times g
+        rng = random.Random(31)
+        for m in range(2, 121):
+            for sign in (-1, 1):
+                base, weights = cyclic_base(m, sign)
+                pres = from_presentation(identity_minus(base, transpose=True))
+                unit = (0, 1) if weights[1] == 1 else (1, 0)
+                (g,) = pres.element_from_vector(unit).torsion_coords
+                for _ in range(5):
+                    v = (rng.randint(-50, 50), rng.randint(-50, 50))
+                    w = weights[0] * v[0] + weights[1] * v[1]
+                    assert pres.element_from_vector(v).torsion_coords == ((w * g) % m,)
+
+    def test_tails_are_minimal(self):
+        # brute force over every c no larger in sum than the box's far corner,
+        # which holds the least c of the box
+        for m in range(1, 151):
+            for sign in (-1, 1):
+                base, (w1, w2) = cyclic_base(m, sign)
+                k1, k2 = tail_box(base, sign)
+                box = {(w1 * (1 + c1) + w2 * (1 + c2)) % m for c1 in range(k1) for c2 in range(k2)}
+                assert len(box) == m, (m, sign)
+                candidates = [
+                    (c1 + c2, c1, c2)
+                    for c1 in range(k1 + k2 - 1)
+                    for c2 in range(k1 + k2 - 1 - c1)
+                ]
+                for g in (d for d in range(1, m + 1) if m % d == 0):
+                    c = cyclic_tails(m, (w1, w2), g % m, range(k1 + k2 - 1))
+                    best = min(x for x in candidates if math.gcd(w1 * (1 + x[1]) + w2 * (1 + x[2]), m) == g)
+                    assert (sum(c), *c) == best, (m, sign, g)
+
+    def test_tails_search_only_the_given_sums(self):
+        base, weights = cyclic_base(109, -1)
+        c = cyclic_tails(109, weights, 0, range(30))
+        assert c is not None
+        assert cyclic_tails(109, weights, 0, range(sum(c))) is None
+        assert cyclic_tails(109, weights, 0, range(sum(c), sum(c) + 1)) == c
+
+    def test_search_stops_at_the_diagonal_plan(self, monkeypatch):
+        # 223092870 is the product of the first nine primes: its diagonal
+        # plan has a few hundred states, while finding the tails for the
+        # point 0 takes about sqrt(m) = 15,000 sums of the cyclic box
+        searched = []
+        search = markovshift.realization.cyclic_tails
+
+        def recording_search(m, weights, u, sums):
+            searched.append(sums)
+            return search(m, weights, u, sums)
+
+        monkeypatch.setattr(markovshift.realization, "cyclic_tails", recording_search)
+        for m in (30030, 1009, 211, 12, 223092870, 6469693230):
+            group = cyclic_group(m)
+            for sign in (-1, 1):
+                cyclic_states = sum(map(sum, cyclic_base(m, sign)[0].entries))
+                for u in (0, 1, m - 1):
+                    point = cyclic_point(group, u)
+                    searched.clear()
+                    matrix, plan = realize(group, point, sign)
+                    diagonal = diagonal_states(group, point, sign)
+                    assert matrix.size <= diagonal
+                    # a sum k costs k + 1 gcds, and each would end below the diagonal plan
+                    assert all(cyclic_states + k < diagonal for k in chain.from_iterable(searched))
+                    if m > 10**8:
+                        assert plan.d_list == choose_shape(group, sign)
+
+    @pytest.mark.parametrize("sign", [-1, 1])
+    def test_every_point_round_trips(self, sign):
+        for m in range(1, 61):
+            group = cyclic_group(m)
+            for u in range(m):
+                point = cyclic_point(group, u)
+                matrix, plan = realize(group, point, sign)
+                inv = invariant_triple(matrix)
+                assert inv.group == group and inv.sign == sign
+                assert pointed_is_isomorphic(inv.pointed, PointedGroup(group, point)), (m, u, sign)
+                # one state per unit of the tail-extended base
+                assert matrix.size == sum(map(sum, plan.base.entries)) + sum(plan.c_vector)
+
+    def test_never_more_states_than_the_diagonal_plan(self):
+        rng = random.Random(1409)
+        for _ in range(300):
+            m = rng.randint(1, 300)
+            group = cyclic_group(m)
+            point = cyclic_point(group, rng.randrange(m))
+            sign = rng.choice((-1, 1))
+            matrix, plan = realize(group, point, sign)
+            diagonal = diagonal_states(group, point, sign)
+            assert matrix.size <= diagonal
+            # the diagonal plan is kept exactly when the cyclic one is not smaller
+            assert (plan.d_list == ()) == (matrix.size < diagonal)
+
+    def test_sizes(self):
+        for m, u, sign, states, diagonal in [
+            (109, 108, -1, 25, 123),
+            (211, 1, 1, 47, 427),
+            (1009, 1008, -1, 82, 1023),
+        ]:
+            group = cyclic_group(m)
+            matrix, plan = realize(group, cyclic_point(group, u), sign)
+            assert matrix.size == states and plan.d_list == ()
+            assert diagonal_states(group, cyclic_point(group, u), sign) == diagonal
+
+    def test_other_groups_keep_the_diagonal_plan(self):
+        # digest of the outputs of the diagonal-only construction, recorded
+        # before the cyclic base existed
+        rng = random.Random(14)
+        out = []
+        for factors in [(2, 2), (2, 4), (3, 3), (2, 2, 2), (2, 6), (4, 4), (2, 8), (3, 9)]:
+            group = FgAbelianGroup(0, factors)
+            for t in product(*(range(m) for m in factors)):
+                for sign in (-1, 1):
+                    matrix, plan = realize(group, group.element((), t), sign)
+                    out.append((matrix.entries, plan.d_list, plan.c_vector))
+        for rank in (1, 2):
+            for factors in [(), (2,), (4,), (5,), (2, 2), (3, 6)]:
+                group = FgAbelianGroup(rank, factors)
+                for t in product(*(range(m) for m in factors)):
+                    free = tuple(rng.randint(-3, 3) for _ in range(rank))
+                    matrix, plan = realize(group, group.element(free, t), 0)
+                    out.append((matrix.entries, plan.d_list, plan.c_vector))
+                    assert plan.d_list == choose_shape(group, 0)
+        assert len(out) == 268
+        digest = hashlib.sha256(repr(out).encode()).hexdigest()
+        assert digest == "1c14f19c8abd46854063afdd1b69c513adcab3b0f694a61034d51e2d1c1e6aa6"

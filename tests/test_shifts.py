@@ -122,6 +122,61 @@ class TestValidate:
     def test_not_square(self):
         assert "not_square" in [i.code for i in validate([[1, 1]]).issues]
 
+    @pytest.mark.parametrize(
+        "rows, issues",
+        [
+            ([], [("empty", "matrix has no rows")]),
+            ([[1, 1]], [("not_square", "matrix is not square")]),
+            ([[1, 1], [1]], [("not_square", "matrix is not square")]),
+            ([[1, 1.0], [1, 1]], [("bad_entry", "entries must be integers")]),
+            ([[True, 1], [1, 1]], [("bad_entry", "entries must be integers")]),
+            ([["2", 1], [1, 1]], [("bad_entry", "entries must be integers")]),
+            ([[-1, 1.5], [1, 1]], [("bad_entry", "entries must be integers")]),
+            ([[1, 1], [-1, 1]], [("negative_entry", "entries must be nonnegative")]),
+            (
+                [[0, 0, 0], [1, 0, 1], [0, 0, 0]],
+                [
+                    ("zero_row", "row 1 is identically zero"),
+                    ("zero_row", "row 3 is identically zero"),
+                    ("zero_column", "column 2 is identically zero"),
+                ],
+            ),
+            (
+                [[1, 0, 0], [1, 0, 0], [1, 0, 0]],
+                [
+                    ("zero_column", "column 2 is identically zero"),
+                    ("zero_column", "column 3 is identically zero"),
+                ],
+            ),
+            (
+                [[0]],
+                [
+                    ("zero_row", "row 1 is identically zero"),
+                    ("zero_column", "column 1 is identically zero"),
+                    ("too_small", "a 0/1 transition matrix needs at least 2 states"),
+                ],
+            ),
+            ([[1]], [("too_small", "a 0/1 transition matrix needs at least 2 states")]),
+            ([[2]], []),
+            ([[1, 1], [0, 1]], [("reducible", "the transition graph is not strongly connected")]),
+            (
+                PERM,
+                [("condition_I", "permutation matrix: the shift space is finite, so every point is isolated")],
+            ),
+            ([[1, 1], [1, 0]], []),
+        ],
+    )
+    def test_issues_pinned(self, rows, issues):
+        # codes, messages and their order, for each kind of bad input
+        assert [(i.code, i.message) for i in validate(rows).issues] == issues
+        assert [(i.code, i.message) for i in validate(iter(map(iter, rows))).issues] == issues
+
+    def test_int_subclass_entries_validate(self):
+        class Count(int):
+            pass
+
+        assert validate([[Count(1), 1], [1, Count(0)]]).classifiable
+
     def test_matrix_object_agrees_with_its_rows(self):
         rng = random.Random(88)
         matrices = [NonNegMatrix(((1,),)), NonNegMatrix(((3,),)), ZeroOneMatrix.from_rows(PERM)]
