@@ -60,11 +60,17 @@ def _echo_matrix(path, rows) -> dict:
 
 def _load_matrix(path):
     rows = read_matrix_rows(path)
-    diagnostics = validate(rows)
+    # parsed rows are square with nonnegative integer entries, so the matrix
+    # is refused only for a zero row or column, which validate then names
+    try:
+        matrix = matrix_from_rows(rows)
+    except DomainError:
+        matrix = None
+    diagnostics = validate(rows if matrix is None else matrix)
     if not diagnostics.classifiable:
         details = "; ".join(issue.message for issue in diagnostics.issues)
         raise _InvalidInput(f"{path}: matrix is not classifiable: {details}")
-    return matrix_from_rows(rows), _echo_matrix(path, rows)
+    return matrix, _echo_matrix(path, rows)
 
 
 def _load_zero_one(path) -> tuple[ZeroOneMatrix, dict]:

@@ -122,8 +122,8 @@ class Presentation:
 
     The coordinate map sends v to U v and reads canonical coordinates off
     the Smith-diagonal positions: zero entries give free coordinates, the
-    entries >= 2 give torsion coordinates.  U and U^-1 are applied by
-    replaying the Smith form's recorded operations, so neither is built.
+    entries >= 2 give torsion coordinates.  U is applied by replaying the
+    Smith form's recorded row operations, so it is not built.
     """
 
     snf: SnfResult
@@ -131,27 +131,12 @@ class Presentation:
     free_positions: tuple[int, ...]
     torsion_positions: tuple[int, ...]
 
-    @property
-    def rank(self) -> int:
-        return self.snf.matrix.rows
-
     def element_from_vector(self, v: Sequence[int]) -> GroupElement:
         _check_ints("vector entry", v)
         w = self.snf.u_times(v)
         free = tuple(w[i] for i in self.free_positions)
         torsion = tuple(w[i] for i in self.torsion_positions)
         return self.group.element(free, torsion)
-
-    def representative(self, x: GroupElement) -> tuple[int, ...]:
-        """Some integer vector whose class is x."""
-        if not self.group.contains(x):
-            x = self.group.element(x.free_coords, x.torsion_coords)
-        w = [0] * self.rank
-        for coord, pos in zip(x.free_coords, self.free_positions):
-            w[pos] = coord
-        for coord, pos in zip(x.torsion_coords, self.torsion_positions):
-            w[pos] = coord
-        return self.snf.u_inv_times(w)
 
 
 def from_presentation(m: IntMatrix) -> Presentation:

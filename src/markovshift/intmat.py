@@ -167,10 +167,6 @@ class SnfResult:
         """U v, replayed without building U."""
         return tuple(_replay(self.row_ops, self._fit(v), inverse=False))
 
-    def u_inv_times(self, v: Sequence[int]) -> tuple[int, ...]:
-        """U^-1 v, replayed without building U^-1."""
-        return tuple(_replay(self.row_ops, self._fit(v), inverse=True))
-
     def _fit(self, v: Sequence[int]) -> list[int]:
         if len(v) != self.matrix.rows:
             raise ShapeError(f"vector of length {len(v)} does not fit {self.matrix.rows} rows")

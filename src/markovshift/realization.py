@@ -1,24 +1,26 @@
 """Realize any admissible invariant triple as an explicit 0/1 matrix.
 
 The pipeline: pick a base matrix that presents the requested group with
-the requested determinant sign, represent the requested distinguished
-element by a nonnegative integer vector, graft tails of that length onto
-the states to move the all-ones class onto the element, and finally
-recode the nonnegative matrix as a 0/1 edge shift, which has one state
-per unit of the tail-extended matrix.
+the requested determinant sign, choose nonnegative tail lengths whose
+class lies in the orbit of the requested distinguished element, graft
+tails of those lengths onto the states to move the all-ones class onto
+that class, and finally recode the nonnegative matrix as a 0/1 edge
+shift, which has one state per unit of the tail-extended matrix.
 
 There are two bases.  The diagonal plan (``choose_shape``,
 ``base_matrix``) has a diagonal entry d + 2 for each prime-power part d
-of the torsion, so Z/p costs about p states.  A finite cyclic group Z/m
+of the torsion, so Z/p costs about p states, and its tails have a
+closed form (``point_vector``).  A finite cyclic group Z/m
 also has a 2x2 base with entries near sqrt(m) and a closed-form class map
 (``cyclic_base``), so it costs a few times sqrt(m) states: 82 for Z/1009,
 against 1,023.  ``realize`` keeps whichever plan ends with fewer states.
-The stages only construct; ``realize`` verifies the result once, by
-recomputing the invariant of the returned matrix and matching it against
-the request, the point with ``pointed_is_isomorphic``.  The returned edge
-shift merges back to the tail-extended matrix (``invariant_triple`` takes
-its column amalgamation), so that check costs a Smith form of the smaller
-size.
+Neither plan needs a Smith form.  The stages only construct; ``realize``
+verifies the result once, by recomputing the invariant of the returned
+matrix and matching it against the request, the point with
+``pointed_is_isomorphic``.  The returned edge shift merges back to the
+tail-extended matrix (``invariant_triple`` takes its column
+amalgamation), so that check, the one Smith form of a realization, has
+the smaller size.
 """
 
 from __future__ import annotations
@@ -32,12 +34,11 @@ from .groups import (
     FgAbelianGroup,
     GroupElement,
     PointedGroup,
-    from_presentation,
     pointed_is_isomorphic,
 )
 from .intmat import _check_ints
 from .invariants import MarkovInvariant, invariant_triple
-from .shifts import NonNegMatrix, ZeroOneMatrix, edge_shift, identity_minus
+from .shifts import NonNegMatrix, ZeroOneMatrix, edge_shift
 
 
 @dataclass(frozen=True)
@@ -114,40 +115,35 @@ def base_matrix(d_list) -> NonNegMatrix:
     return NonNegMatrix(rows)
 
 
-def _base_diagonal_parameters(a: NonNegMatrix) -> tuple[int, ...]:
-    n = a.size
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            x = a.entry(i, j)
-            if i != j and x != 1:
-                raise PreconditionError("matrix is not a base matrix: off-diagonal entries must be 1")
-            if i == j and x < 2:
-                raise PreconditionError("matrix is not a base matrix: diagonal entries must be >= 2")
-    d = tuple(a.entry(i, i) - 2 for i in range(1, n + 1))
-    if d[0] != 0:
-        raise PreconditionError("matrix is not a base matrix: first diagonal parameter must be 0")
-    return d
+def point_vector(group: FgAbelianGroup, point: GroupElement, d) -> tuple[int, ...]:
+    """Nonnegative tails c, one per entry of d, whose class is in the point's orbit.
 
-
-def point_vector(base: NonNegMatrix, u: GroupElement) -> tuple[int, ...]:
-    """Nonnegative integer vector whose class in BF(base^t) is exactly u.
-
-    Valid because for base matrices the all-ones class vanishes and d_i
-    times the i-th unit vector lies in the relation lattice, so a
-    representative can be reduced coordinatewise and then shifted by a
-    multiple of the all-ones vector without changing its class.
+    ``d`` is ``choose_shape(group, sign)``, whose second entry is the first
+    free slot when there is one.  The columns of id - B^t for
+    B = ``base_matrix(d)`` are -1 - d_i e_i, so BF(B^t) = Z^n / <1, d_i e_i>
+    and c has the class (c_i - c_1 mod d_i) for i >= 2, which the tail
+    extension puts on the all-ones vector.  With g the content of the free
+    coordinates (0 when there are none), c is 0 except for g in the first
+    free slot and gcd(t_j, g, q) mod gcd(g, q) in each slot q split from
+    the torsion factor m_j.  That class is in the orbit of the point:
+    GL_r(Z) carries the free part to (g, 0, ..., 0), a unit scales each
+    prime-power coordinate, and a map Z^r -> T adds any element of g*T.
+    Along the chain m_1 | m_2 | ... the p-parts never decrease, so the
+    factors that q divides begin with the ones whose p-part is q, one for
+    each slot q of d: the slots are matched to factors in turn, with no
+    factoring.
     """
-    d = _base_diagonal_parameters(base)
-    pres = from_presentation(identity_minus(base, transpose=True))
-    v = list(pres.representative(u))
-    for i, di in enumerate(d):
-        if di >= 1:
-            v[i] %= di
-    shift = max(0, -min(v))
-    c = [x + shift for x in v]
-    for i, di in enumerate(d):
-        if di >= 1:
-            c[i] %= di
+    point = group.element(point.free_coords, point.torsion_coords)
+    g = math.gcd(*point.free_coords)
+    c = [0] * len(d)
+    if group.free_rank:
+        c[1] = g
+    owners = {}
+    for i, q in enumerate(d):
+        if q > 1:
+            if q not in owners:
+                owners[q] = (t for t, m in zip(point.torsion_coords, group.torsion_factors) if m % q == 0)
+            c[i] = math.gcd(next(owners[q]), g, q) % math.gcd(g, q)
     return tuple(c)
 
 
@@ -171,21 +167,21 @@ def cyclic_base(m: int, sign: int) -> tuple[NonNegMatrix, tuple[int, int]]:
     return NonNegMatrix(((x + 1, 1), (x * y - m, y + 1))), (1, -x)
 
 
-def cyclic_tails(m: int, weights: tuple[int, int], u: int, sums: range) -> tuple[int, int] | None:
-    """Tails c with the least c1 + c2 in ``sums`` that move the point into the orbit of u.
+def cyclic_tails(m: int, weights: tuple[int, int], u: int, bound: int) -> tuple[int, int] | None:
+    """Tails c with the least c1 + c2 below ``bound`` that move the point into the orbit of u.
 
     The tail-extended base carries the class of 1 + c; automorphisms of
     Z/m are the unit multiples, so that class lies in the orbit of u
     exactly when gcd(class, m) = gcd(u, m).  Ties go to the smaller c1,
-    and None means no sum in ``sums`` has such tails.  The weights of
+    and None means no sum below ``bound`` has such tails.  The weights of
     ``cyclic_base`` are 1 and -k, so the classes over tails below k at the
     weight-1 state and below ceil(m / k) at the other are k * ceil(m / k)
     >= m consecutive integers: every residue is reached by a sum below
-    k + ceil(m / k).  A sum k costs k + 1 gcds, so callers bound ``sums``.
+    k + ceil(m / k).  A sum k costs k + 1 gcds, so callers keep ``bound`` small.
     """
     w1, w2 = weights
     g = math.gcd(u, m)
-    for k in sums:
+    for k in range(bound):
         for c1 in range(k + 1):
             if math.gcd(w1 * (1 + c1) + w2 * (1 + k - c1), m) == g:
                 return c1, k - c1
@@ -227,30 +223,25 @@ def _final_states(base: NonNegMatrix, c) -> int:
 def _plan(group: FgAbelianGroup, point: GroupElement, sign: int):
     """Diagonal parameters, base and tails of the plan with the fewest final states.
 
-    A finite cyclic group has both plans, and a tie keeps the diagonal one.
-    The cyclic tails are searched only over sums that would beat the
-    diagonal plan, so the search costs at most the square of that plan's
-    state count: a smooth m, whose diagonal base is small, is not searched
-    over the whole sqrt(m) box.  The diagonal plan ends with at least its
-    base's entry sum, so its tails are computed only when the cyclic plan
-    does not beat that.
+    The diagonal plan comes first; its tails have a closed form.  A finite
+    cyclic group also has the cyclic plan, whose tails are searched only
+    over the sums that would end strictly below the diagonal plan, so a
+    tie keeps the diagonal plan, and the search costs at most the square
+    of that plan's state count: a smooth m, whose diagonal base is small,
+    is not searched over the whole sqrt(m) box.
     """
     d = choose_shape(group, sign)
     base = base_matrix(d)
+    c = point_vector(group, point, d)
     if not group.is_finite or len(group.torsion_factors) > 1:
-        return d, base, point_vector(base, point)
+        return d, base, c
     m = group.order()
     cyclic, weights = cyclic_base(m, sign)
     # the sum is the one torsion coordinate, or 0 in the trivial group
     u = sum(point.torsion_coords)
-    cyclic_states = _final_states(cyclic, ())
-    lower = max(0, _final_states(base, ()) - cyclic_states)
-    tails = cyclic_tails(m, weights, u, range(lower))
+    tails = cyclic_tails(m, weights, u, _final_states(base, c) - _final_states(cyclic, ()))
     if tails is None:
-        c = point_vector(base, point)
-        tails = cyclic_tails(m, weights, u, range(lower, _final_states(base, c) - cyclic_states))
-        if tails is None:
-            return d, base, c
+        return d, base, c
     return (), cyclic, tails
 
 

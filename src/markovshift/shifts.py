@@ -164,11 +164,8 @@ def is_irreducible(a: NonNegMatrix) -> bool:
 
 
 def is_permutation_matrix(a: NonNegMatrix) -> bool:
-    n = a.size
-    for row in a.entries:
-        if sum(row) != 1 or any(x > 1 for x in row):
-            return False
-    return all(sum(row[j] for row in a.entries) == 1 for j in range(n))
+    # entries are nonnegative integers, so a sum of 1 is a single entry 1
+    return all(sum(row) == 1 for row in a.entries) and all(sum(col) == 1 for col in zip(*a.entries))
 
 
 @dataclass(frozen=True)
@@ -186,53 +183,53 @@ class Diagnostics:
         return not self.issues
 
 
+_TOO_SMALL = Issue("too_small", "a 0/1 transition matrix needs at least 2 states")
+
+
+def _row_issues(rows: tuple[tuple, ...]) -> tuple[Issue, ...]:
+    """The structural issues of rows that ``NonNegMatrix`` refuses, in report order."""
+    n = len(rows)
+    if n == 0:
+        return (Issue("empty", "matrix has no rows"),)
+    if any(len(r) != n for r in rows):
+        return (Issue("not_square", "matrix is not square"),)
+    if not all(map(_is_int, chain.from_iterable(rows))):
+        return (Issue("bad_entry", "entries must be integers"),)
+    if min(map(min, rows)) < 0:
+        return (Issue("negative_entry", "entries must be nonnegative"),)
+    issues = [Issue("zero_row", f"row {i + 1} is identically zero") for i, r in enumerate(rows) if not any(r)]
+    issues += [
+        Issue("zero_column", f"column {j + 1} is identically zero") for j, c in enumerate(zip(*rows)) if not any(c)
+    ]
+    # what is left is a zero row or column, so a single entry is 0
+    if n == 1:
+        issues.append(_TOO_SMALL)
+    return tuple(issues)
+
+
 def validate(matrix) -> Diagnostics:
     """Structural and dynamical diagnostics for a transition matrix.
 
     Accepts a matrix object or raw rows; problems are reported, never
     raised.  A matrix with no issues is safe for every decision procedure
-    in this package.
+    in this package.  A matrix object has passed the entry, row and column
+    checks when it was built, and raw rows are built into one; only rows
+    that it refuses are walked, to name every structural issue.
     """
-    # whole-row passes; only a failed one walks the entries, to name what failed
-    if isinstance(matrix, NonNegMatrix):
-        rows = matrix.entries
-    else:
+    if not isinstance(matrix, NonNegMatrix):
         rows = tuple(map(tuple, matrix))
-    issues: list[Issue] = []
-    n = len(rows)
-    if n == 0:
-        return Diagnostics((Issue("empty", "matrix has no rows"),))
-    if any(len(r) != n for r in rows):
-        return Diagnostics((Issue("not_square", "matrix is not square"),))
-    if set(map(type, chain.from_iterable(rows))) != {int} and not all(
-        map(_is_int, chain.from_iterable(rows))
-    ):
-        return Diagnostics((Issue("bad_entry", "entries must be integers"),))
-    if min(map(min, rows)) < 0:
-        return Diagnostics((Issue("negative_entry", "entries must be nonnegative"),))
-    if not all(map(any, rows)):
-        for i, row in enumerate(rows):
-            if not any(row):
-                issues.append(Issue("zero_row", f"row {i + 1} is identically zero"))
-    if not all(map(any, zip(*rows))):
-        for j, column in enumerate(zip(*rows)):
-            if not any(column):
-                issues.append(Issue("zero_column", f"column {j + 1} is identically zero"))
-    if n == 1 and rows[0][0] <= 1:
-        issues.append(Issue("too_small", "a 0/1 transition matrix needs at least 2 states"))
-    if issues:
-        return Diagnostics(tuple(issues))
-    probe = matrix if isinstance(matrix, NonNegMatrix) else NonNegMatrix(rows)
-    if not is_irreducible(probe):
-        issues.append(Issue("reducible", "the transition graph is not strongly connected"))
-    elif is_permutation_matrix(probe):
-        issues.append(
-            Issue(
-                "condition_I",
-                "permutation matrix: the shift space is finite, so every point is isolated",
-            )
-        )
-    return Diagnostics(tuple(issues))
+        try:
+            matrix = NonNegMatrix(rows)
+        except (ShapeError, DomainError):
+            return Diagnostics(_row_issues(rows))
+    if matrix.size == 1 and matrix.entries[0][0] == 1:
+        return Diagnostics((_TOO_SMALL,))
+    if not is_irreducible(matrix):
+        return Diagnostics((Issue("reducible", "the transition graph is not strongly connected"),))
+    if is_permutation_matrix(matrix):
+        message = "permutation matrix: the shift space is finite, so every point is isolated"
+        return Diagnostics((Issue("condition_I", message),))
+    return Diagnostics(())
 
 
 # ---------------------------------------------------------------------------

@@ -121,27 +121,8 @@ class TestFromPresentation:
             w = mul_vector(snf.U, v)
             expected = g.element([w[i] for i in pres.free_positions], [w[i] for i in pres.torsion_positions])
             assert pres.element_from_vector(v) == expected
-            x = g.element(
-                [rng.randint(-3, 3) for _ in range(g.free_rank)],
-                [rng.randint(0, m - 1) for m in g.torsion_factors],
-            )
-            coords = [0] * n
-            for pos, c in zip(pres.free_positions + pres.torsion_positions, x.free_coords + x.torsion_coords):
-                coords[pos] = c
-            assert pres.representative(x) == mul_vector(snf.U_inv, coords)
             with pytest.raises(ShapeError):
                 pres.element_from_vector(v + (0,))
-
-    def test_representative_round_trip(self):
-        rng = random.Random(11)
-        for _ in range(25):
-            n = rng.randint(1, 4)
-            pres = from_presentation(random_int_matrix(rng, n, n, bound=4))
-            g = pres.group
-            free = tuple(rng.randint(-3, 3) for _ in range(g.free_rank))
-            torsion = tuple(rng.randint(0, m - 1) for m in g.torsion_factors)
-            x = g.element(free, torsion)
-            assert pres.element_from_vector(pres.representative(x)) == x
 
 
 class TestIsIsomorphic:

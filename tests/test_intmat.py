@@ -78,7 +78,6 @@ def snf_invariants_hold(m: IntMatrix):
     assert (snf.V @ snf.V_inv) == identity(m.cols)
     v = tuple(range(1, m.rows + 1))
     assert snf.u_times(v) == mul_vector(snf.U, v)
-    assert snf.u_inv_times(v) == mul_vector(snf.U_inv, v)
     return snf
 
 
