@@ -36,7 +36,6 @@ from .invariants import decide_coe, decide_flow, full_group_abelianization, inva
 from .realization import realize
 from .shifts import (
     ZeroOneMatrix,
-    count_period_points,
     periodic_orbit_words,
     validate,
 )
@@ -231,8 +230,13 @@ def _cmd_periodic(args) -> tuple[dict, int]:
     for w, name in zip(reps, format_words(reps, matrix.size)):
         by_length.setdefault(len(w), []).append(name)
     periods = []
+    # trace(A^q) for q = 1..p with A^q carried forward: p - 1 products in all
+    step = matrix.as_int_matrix()
+    power = step
     for q in range(1, args.period + 1):
-        fixed = count_period_points(matrix, q)
+        if q > 1:
+            power = power @ step
+        fixed = power.trace()
         weighted = sum(
             d * len(by_length.get(d, [])) for d in range(1, q + 1) if q % d == 0
         )

@@ -3,14 +3,17 @@
 A group is written Z^r x Z/m1 x ... x Z/mk with m1 | m2 | ... | mk and
 every mi >= 2; this canonical shape is a complete isomorphism invariant.
 Elements are integer coordinate tuples, torsion coordinates reduced
-modulo their factor.  The pointed decision (is there an isomorphism
-carrying one distinguished element to the other?) is one comparison in
-closed form: the content of the free part, then the height sequences of
-the least-height element of a coset, one per element of a coprime base
-refined by gcds from the factors and both points.  Per-prime height
-sequences classify automorphism orbits in finite abelian p-groups
-(Hillar & Rhea 2007), and a base element's sequence fixes those of all
-its primes, so the decision needs no factoring.
+modulo their factor.  ``from_presentation`` brings Z^n / M Z^n to this
+form, with the class of one vector and det M, from one pass over the +-1
+pivots and a Smith form of the block they leave.  The pointed decision
+(is there an isomorphism carrying one distinguished element to the
+other?) is one comparison in closed form: the content of the free part,
+then the height sequences of the least-height element of a coset, one
+per element of a coprime base refined by gcds from the factors and both
+points.  Per-prime height sequences classify automorphism orbits in
+finite abelian p-groups (Hillar & Rhea 2007), and a base element's
+sequence fixes those of all its primes, so the decision needs no
+factoring.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from itertools import chain
 from typing import Sequence
 
 from .errors import DomainError, ShapeError
-from .intmat import IntMatrix, SnfResult, _check_ints, _is_int, smith_normal_form
+from .intmat import IntMatrix, _check_ints, _is_int, eliminate_unit_pivots, smith_normal_form
 
 INFINITE = math.inf
 
@@ -118,37 +121,38 @@ class PointedGroup:
 
 @dataclass(frozen=True)
 class Presentation:
-    """Quotient Z^n / (column span of snf.matrix) in canonical form.
+    """The quotient Z^n / M Z^n of a square M, the class of one vector in it, and det M."""
 
-    The coordinate map sends v to U v and reads canonical coordinates off
-    the Smith-diagonal positions: zero entries give free coordinates, the
-    entries >= 2 give torsion coordinates.  U is applied by replaying the
-    Smith form's recorded row operations, so it is not built.
-    """
-
-    snf: SnfResult
     group: FgAbelianGroup
-    free_positions: tuple[int, ...]
-    torsion_positions: tuple[int, ...]
-
-    def element_from_vector(self, v: Sequence[int]) -> GroupElement:
-        _check_ints("vector entry", v)
-        w = self.snf.u_times(v)
-        free = tuple(w[i] for i in self.free_positions)
-        torsion = tuple(w[i] for i in self.torsion_positions)
-        return self.group.element(free, torsion)
+    point: GroupElement
+    determinant: int
 
 
-def from_presentation(m: IntMatrix) -> Presentation:
-    """Canonical form of Z^n modulo the columns of a square matrix."""
-    if not m.is_square:
-        raise ShapeError("presentation needs a square relation matrix")
-    snf = smith_normal_form(m)
+def from_presentation(m: IntMatrix, v: Sequence[int]) -> Presentation:
+    """Canonical form of Z^n modulo the columns of a square m, with the class of v.
+
+    One pass clears the +-1 pivots and carries v along
+    (``eliminate_unit_pivots``); on relation matrices of 0/1 matrices
+    almost every pivot is one.  The block S it leaves has no entry +-1 and
+    gets the Smith form, whose recorded row operations are replayed on v's
+    tail.  Zero entries of S's diagonal give the free coordinates, entries
+    >= 2 the torsion coordinates, and det m is the pass's sign times det S,
+    read off the same Smith form.  With no block left the group is trivial.
+    Singular and nonsingular m take the same path.
+    """
+    _check_ints("vector entry", v)
+    rest, tail, sign = eliminate_unit_pivots(m, v)
+    if rest is None:
+        trivial = FgAbelianGroup(0)
+        return Presentation(trivial, trivial.zero(), sign)
+    snf = smith_normal_form(rest)
     diag = snf.diagonal
-    free_positions = tuple(i for i, d in enumerate(diag) if d == 0)
-    torsion_positions = tuple(i for i, d in enumerate(diag) if d >= 2)
-    group = FgAbelianGroup(len(free_positions), tuple(diag[i] for i in torsion_positions))
-    return Presentation(snf, group, free_positions, torsion_positions)
+    w = snf.u_times(tail)
+    group = FgAbelianGroup(diag.count(0), tuple(d for d in diag if d >= 2))
+    point = group.element(
+        [x for x, d in zip(w, diag) if d == 0], [x for x, d in zip(w, diag) if d >= 2]
+    )
+    return Presentation(group, point, sign * snf.determinant)
 
 
 def tensor_z2(g: FgAbelianGroup) -> FgAbelianGroup:

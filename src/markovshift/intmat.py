@@ -1,8 +1,13 @@
-"""Exact integer matrices: Smith normal form and determinants.
+"""Exact integer matrices: unit-pivot elimination, Smith normal form and determinants.
 
 Everything runs on Python's arbitrary-precision integers, so no operation
 here can overflow or round.  All values are immutable; functions return
 fresh objects and never mutate their arguments.
+
+On relation matrices id - A^t of 0/1 matrices almost every pivot is +-1.
+``eliminate_unit_pivots`` clears those first, with row operations only and
+no record, carrying one vector along; the Smith form then runs on the
+block that is left, which has no entry +-1.
 
 The Smith form skips work on entries already known to be zero, which
 dominates on the sparse relation matrices of edge shifts: it leaves
@@ -302,6 +307,70 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
         row_ops=tuple(row_ops),
         col_ops=tuple(col_ops),
     )
+
+
+def eliminate_unit_pivots(
+    m: IntMatrix, v: Sequence[int]
+) -> tuple[IntMatrix | None, tuple[int, ...], int]:
+    """Clear the +-1 pivots of a square M, carrying a vector v along.
+
+    While the trailing block holds an entry +-1, the first one in row-major
+    order is swapped to (t, t) and column t is cleared below it by row
+    operations, applied to v as well.  Each such pivot drops one generator
+    and one relation of Z^n / M Z^n (a Tietze move; Havas, Holt & Rees
+    1993), so the quotient is Z^(n-t) / S Z^(n-t) for the block S left at
+    the end, and v's class is that of its last n - t coordinates.  The
+    column operations that would clear row t touch only row t, so they are
+    skipped.  Returns S (None when no block is left), the tail of v and
+    the sign with det M = sign * det S: -1 per swap of two distinct rows or
+    columns, times each pivot.
+
+    The pivots, swaps and row operations are the ones ``smith_normal_form``
+    makes while its block holds an entry +-1, so S and the tail are the
+    block and vector it would reach there.
+    """
+    if not m.is_square:
+        raise ShapeError("unit pivots need a square matrix")
+    if len(v) != m.rows:
+        raise ShapeError(f"vector of length {len(v)} does not fit {m.rows} rows")
+    n = m.rows
+    # v rides along as column n, which no search or column swap reaches
+    a = [[*row, x] for row, x in zip(m.entries, v)]
+    sign = 1
+    t = 0
+    while t < n:
+        for pi in range(t, n):
+            # the row's first +-1: a -1 is looked for only before its first 1
+            row, pj = a[pi], n
+            for x in (1, -1):
+                try:
+                    pj = row.index(x, t, pj)
+                except ValueError:
+                    pass
+            if pj < n:
+                break
+        else:
+            break
+        if pi != t:
+            a[t], a[pi] = a[pi], a[t]
+            sign = -sign
+        if pj != t:
+            for row in a[t:]:
+                row[t], row[pj] = row[pj], row[t]
+            sign = -sign
+        source = a[t]
+        p = source[t]
+        sign *= p
+        live = list(compress(range(t, n + 1), source[t:]))
+        for row in a[t + 1 :]:
+            h = row[t]
+            if h:
+                q = h * p
+                for j in live:
+                    row[j] -= q * source[j]
+        t += 1
+    rest = IntMatrix(tuple(tuple(row[t:n]) for row in a[t:])) if t < n else None
+    return rest, tuple(row[n] for row in a[t:]), sign
 
 
 def determinant(m: IntMatrix) -> int:

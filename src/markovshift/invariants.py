@@ -87,19 +87,18 @@ def invariant_triple(a: NonNegMatrix) -> MarkovInvariant:
 
     The matrix is checked as given, then replaced by its total column
     amalgamation B, a one-sided conjugate with the same invariant: an edge
-    shift shrinks back to the matrix it came from.  One Smith form of
-    id - B^t gives all three parts: the group, the point, and
-    det(id - A) = det(id - B^t), read off the same elimination.  Merging
-    states sends the all-ones vector of A to that of B, so the point is
-    the class of the all-ones vector of B.  Its coordinates depend on the
-    states of B, so points are compared with `pointed_is_isomorphic`,
-    never by their coordinates.
+    shift shrinks back to the matrix it came from.  Merging states sends
+    the all-ones vector of A to that of B, so one presentation of id - B^t
+    with B's all-ones vector gives all three parts: the group, the point,
+    and det(id - A) = det(id - B^t).  The +-1 pivots are cleared first and
+    only the block they leave gets a Smith form (none for a trivial group).
+    The point's coordinates depend on the states of B, so points are
+    compared with `pointed_is_isomorphic`, never by their coordinates.
     """
     _require_classifiable(a)
     b = column_amalgamation(a)
-    pres = from_presentation(identity_minus(b, transpose=True))
-    point = pres.element_from_vector((1,) * b.size)
-    return MarkovInvariant(group=pres.group, point=point, det_value=pres.snf.determinant)
+    pres = from_presentation(identity_minus(b, transpose=True), (1,) * b.size)
+    return MarkovInvariant(group=pres.group, point=pres.point, det_value=pres.determinant)
 
 
 def _as_invariant(a) -> MarkovInvariant:

@@ -323,16 +323,18 @@ def column_amalgamation(a: NonNegMatrix) -> NonNegMatrix:
     equal columns at once; the result may have entries > 1.  A matrix
     whose columns already differ is returned as it is.
     """
-    # work on columns: they are what each pass hashes, and only the kept ones are rebuilt
-    columns = tuple(zip(*a.entries))
+    # work on columns: they are what each pass hashes, and only the kept ones
+    # are rebuilt; the first pass reads them straight off the rows
+    columns = zip(*a.entries)
+    size = a.size
     while True:
         classes: dict[tuple[int, ...], list[int]] = {}
         for j, column in enumerate(columns):
             classes.setdefault(column, []).append(j)
-        if len(classes) == len(columns):
+        if len(classes) == size:
             break
         # classes are in order of their first states, which are the states kept
-        kept = [False] * len(columns)
+        kept = [False] * size
         others = []
         for r, (first, *rest) in enumerate(classes.values()):
             kept[first] = True
@@ -343,8 +345,9 @@ def column_amalgamation(a: NonNegMatrix) -> NonNegMatrix:
             for i, r in others:
                 entries[r] += column[i]
             merged.append(tuple(entries))
-        columns = tuple(merged)
-    if len(columns) == a.size:
+        columns = merged
+        size = len(merged)
+    if size == a.size:
         return a
     return NonNegMatrix(tuple(zip(*columns)))
 

@@ -17,10 +17,10 @@ from markovshift import (
     MarkovInvariant,
     NonNegMatrix,
     PointedGroup,
+    Presentation,
     ShapeError,
     ZeroOneMatrix,
     admissible_words,
-    from_presentation,
     identity_minus,
     is_irreducible,
     orbit_sum,
@@ -185,15 +185,30 @@ def random_out_split(rng: random.Random, a: NonNegMatrix) -> NonNegMatrix:
     return NonNegMatrix.from_rows(r + [r[s]] for r in rows)
 
 
+def presentation_by_smith_form(m: IntMatrix, v: Sequence[int]) -> Presentation:
+    """Oracle for ``from_presentation``: one Smith form of all of m.
+
+    Its recorded row operations are replayed on v, the diagonal positions
+    give the coordinates, and the determinant is read off the same record,
+    with no unit-pivot pass in front.
+    """
+    snf = smith_normal_form(m)
+    diag = snf.diagonal
+    w = snf.u_times(v)
+    group = FgAbelianGroup(diag.count(0), tuple(d for d in diag if d >= 2))
+    point = group.element([x for x, d in zip(w, diag) if d == 0], [x for x, d in zip(w, diag) if d >= 2])
+    return Presentation(group, point, snf.determinant)
+
+
 def invariant_unmerged(a: NonNegMatrix) -> MarkovInvariant:
     """The invariant from one Smith form of id - A^t on the matrix as given.
 
-    No states are merged first, so this is an independent check of the
-    column amalgamation that ``invariant_triple`` runs.
+    No states are merged and no unit pivots are cleared first, so this is
+    an independent check of the column amalgamation and of the pass that
+    ``invariant_triple`` runs.
     """
-    pres = from_presentation(identity_minus(a, transpose=True))
-    point = pres.element_from_vector((1,) * a.size)
-    return MarkovInvariant(group=pres.group, point=point, det_value=pres.snf.determinant)
+    pres = presentation_by_smith_form(identity_minus(a, transpose=True), (1,) * a.size)
+    return MarkovInvariant(group=pres.group, point=pres.point, det_value=pres.determinant)
 
 
 def invariant_factor_chains(order: int) -> list[tuple[int, ...]]:

@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 
@@ -6,10 +7,11 @@ import pytest
 
 import markovshift.cli
 import markovshift.groups
-from markovshift import VerificationError
+from markovshift import IntMatrix, VerificationError, ZeroOneMatrix, count_period_points
 from markovshift.cli import main
+from markovshift.fileio import write_matrix_file
 
-from _support import count_calls
+from _support import count_calls, random_zero_one
 
 FULL2 = "2\n1 1\n1 1\n"
 FULL3 = "3\n1 1 1\n1 1 1\n1 1 1\n"
@@ -177,9 +179,15 @@ class TestInvariantCommand:
 
     def test_one_smith_form(self, corpus, monkeypatch, capsys):
         calls = count_calls(monkeypatch, markovshift.groups, "smith_normal_form")
+        # the full 3-shift merges to [[3]]: id - B^t = [[-2]] has no unit pivot
         assert main(["invariant", corpus["full3"], "--json"]) == 0
-        assert len(calls) == 1
+        assert calls == [IntMatrix.from_rows([[-2]])]
         assert json.loads(capsys.readouterr().out)["k_theory"]["k1_rank"] == 0
+        # the golden mean's pivots are all units: no Smith form at all
+        calls.clear()
+        assert main(["invariant", corpus["golden"], "--json"]) == 0
+        assert calls == []
+        assert json.loads(capsys.readouterr().out)["invariant"]["group"] == "0"
 
     def test_golden_mean(self, corpus):
         report = json.loads(run_cli("invariant", corpus["golden"], "--json").stdout)
@@ -358,6 +366,19 @@ class TestPeriodicCommand:
     def test_full_two_shift_period_one(self, corpus):
         report = json.loads(run_cli("periodic", corpus["full2"], "1", "--json").stdout)
         assert report["periods"][0]["orbit_representatives"] == ["1", "2"]
+
+    def test_fixed_points_match_count_period_points(self, tmp_path, capsys):
+        # the command carries A^q forward; count_period_points squares
+        rng = random.Random(12)
+        matrices = [ZeroOneMatrix.from_rows([[1, 1], [1, 0]]), ZeroOneMatrix.from_rows([[1, 1], [1, 1]])]
+        matrices += [random_zero_one(rng, n, density=0.4) for n in (3, 3, 4, 4)]
+        for k, a in enumerate(matrices):
+            path = tmp_path / f"m{k}.txt"
+            write_matrix_file(str(path), a)
+            assert main(["periodic", str(path), "12", "--json"]) == 0
+            periods = json.loads(capsys.readouterr().out)["periods"]
+            fixed = [p["points_fixed_by_power"] for p in periods]
+            assert fixed == [count_period_points(a, q) for q in range(1, 13)]
 
 
 class TestErrorReports:

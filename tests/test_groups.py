@@ -13,12 +13,15 @@ from markovshift import (
     GroupElement,
     IntMatrix,
     PointedGroup,
+    Presentation,
     ShapeError,
     decide_coe,
     decide_flow,
+    determinant,
     from_presentation,
     pointed_is_isomorphic,
     realize,
+    smith_normal_form,
     tensor_z2,
 )
 from markovshift.groups import _coprime_base, _heights, _orbit_profile, _valuation
@@ -29,6 +32,7 @@ from _support import (
     apply_generator,
     apply_literal_automorphism,
     aut_orbit,
+    count_calls,
     elementary_automorphisms,
     elements,
     identity,
@@ -65,7 +69,7 @@ class TestCanonicalForm:
         def cyclic_sum(orders):
             n = len(orders)
             diagonal = [[d if i == j else 0 for j in range(n)] for i, d in enumerate(orders)]
-            return from_presentation(IntMatrix.from_rows(diagonal)).group
+            return from_presentation(IntMatrix.from_rows(diagonal), (0,) * n).group
 
         assert cyclic_sum([8, 5]).torsion_factors == (40,)
         assert cyclic_sum([2, 3]).torsion_factors == (6,)
@@ -80,49 +84,62 @@ class TestCanonicalForm:
 
 class TestFromPresentation:
     def test_identity_gives_trivial(self):
-        pres = from_presentation(identity(3))
-        assert pres.group == TRIVIAL
+        pres = from_presentation(identity(3), (1, 2, 3))
+        assert pres == Presentation(TRIVIAL, GroupElement(), 1)
 
     def test_unimodular_gives_trivial(self):
-        pres = from_presentation(IntMatrix.from_rows([[0, -1], [-1, 0]]))
-        assert pres.group == TRIVIAL
+        pres = from_presentation(IntMatrix.from_rows([[0, -1], [-1, 0]]), (1, 1))
+        assert pres == Presentation(TRIVIAL, GroupElement(), -1)
 
     def test_full_three_shift(self):
-        pres = from_presentation(FULL3_RELATION)
+        pres = from_presentation(FULL3_RELATION, (1, 1, 1))
         assert pres.group == FgAbelianGroup(0, (2,))
-        assert pres.element_from_vector((1, 1, 1)) == pres.group.element(torsion=(1,))
-        assert pres.element_from_vector((0, 0, 0)) == pres.group.zero()
+        assert pres.point == pres.group.element(torsion=(1,))
+        assert pres.determinant == -2
+        assert from_presentation(FULL3_RELATION, (0, 0, 0)).point == pres.group.zero()
 
     def test_rejects_a_non_integer_vector(self):
-        pres = from_presentation(FULL3_RELATION)
         with pytest.raises(ShapeError, match="vector entry 1.5 is not an integer"):
-            pres.element_from_vector((1.5, 0, 0))
+            from_presentation(FULL3_RELATION, (1.5, 0, 0))
+        with pytest.raises(ShapeError, match="vector of length 2 does not fit 3 rows"):
+            from_presentation(FULL3_RELATION, (1, 0))
 
     def test_vectors_equal_iff_difference_in_column_span(self):
         rng = random.Random(4242)
         for _ in range(25):
             n = rng.randint(1, 4)
             m = random_int_matrix(rng, n, n, bound=4)
-            pres = from_presentation(m)
             v = tuple(rng.randint(-5, 5) for _ in range(n))
             w = tuple(rng.randint(-5, 5) for _ in range(n))
-            same = pres.element_from_vector(v) == pres.element_from_vector(w)
+            same = from_presentation(m, v).point == from_presentation(m, w).point
             diff = tuple(a - b for a, b in zip(v, w))
             # difference lies in the column span iff M x = diff has a solution
             assert same == (solve_linear(m, diff) is not None)
 
     def test_replayed_transforms_agree_with_the_matrices(self):
+        # the unit pivots and the block's Smith form give the coordinates that
+        # U of one Smith form of all of m gives, and its determinant
         rng = random.Random(29)
         for _ in range(25):
             n = rng.randint(1, 6)
-            pres = from_presentation(random_int_matrix(rng, n, n, bound=4))
-            snf, g = pres.snf, pres.group
+            m = random_int_matrix(rng, n, n, bound=4)
             v = tuple(rng.randint(-5, 5) for _ in range(n))
-            w = mul_vector(snf.U, v)
-            expected = g.element([w[i] for i in pres.free_positions], [w[i] for i in pres.torsion_positions])
-            assert pres.element_from_vector(v) == expected
+            snf = smith_normal_form(m)
+            w, diag = mul_vector(snf.U, v), snf.diagonal
+            g = FgAbelianGroup(diag.count(0), tuple(d for d in diag if d >= 2))
+            expected = g.element([x for x, d in zip(w, diag) if d == 0], [x for x, d in zip(w, diag) if d >= 2])
+            assert from_presentation(m, v) == Presentation(g, expected, determinant(m))
             with pytest.raises(ShapeError):
-                pres.element_from_vector(v + (0,))
+                from_presentation(m, v + (0,))
+
+    def test_smith_form_only_on_the_block_without_units(self, monkeypatch):
+        blocks = count_calls(monkeypatch, markovshift.groups, "smith_normal_form")
+        # every pivot of FULL3_RELATION is -1 but the last, 2
+        from_presentation(FULL3_RELATION, (1, 1, 1))
+        assert blocks == [IntMatrix.from_rows([[2]])]
+        blocks.clear()
+        from_presentation(IntMatrix.from_rows([[0, -1], [-1, 0]]), (1, 1))
+        assert blocks == []
 
 
 class TestIsIsomorphic:

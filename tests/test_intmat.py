@@ -13,6 +13,7 @@ from markovshift import (
     smith_normal_form,
     tail_extension,
 )
+from markovshift.intmat import eliminate_unit_pivots
 
 from _support import (
     cofactor_determinant,
@@ -202,6 +203,37 @@ class TestSmithFormDeterminant:
     def test_rejects_non_square(self):
         with pytest.raises(ShapeError, match="determinant needs a square matrix"):
             smith_normal_form(IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])).determinant
+
+
+class TestEliminateUnitPivots:
+    def test_block_sign_and_carried_vector(self):
+        rng = random.Random(1993)
+        emptied = 0
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            m = sparse_int_matrix(rng, n, n, rng.uniform(0.25, 0.9), range(-3, 4))
+            x = tuple(rng.randint(-3, 3) for _ in range(n))
+            rest, tail, sign = eliminate_unit_pivots(m, mul_vector(m, x))
+            assert sign in (-1, 1)
+            if rest is None:
+                emptied += 1
+                assert tail == () and cofactor_determinant(m) == sign
+                continue
+            assert rest.is_square and len(tail) == rest.rows <= n
+            assert all(abs(e) != 1 for row in rest.entries for e in row)
+            assert cofactor_determinant(m) == sign * cofactor_determinant(rest)
+            # the same quotient, and a vector in the column span stays in it
+            assert [d for d in smith_normal_form(m).diagonal if d != 1] == [
+                d for d in smith_normal_form(rest).diagonal if d != 1
+            ]
+            assert solve_linear(rest, tail) is not None
+        assert emptied > 0
+
+    def test_rejects_non_square_and_misfit_vector(self):
+        with pytest.raises(ShapeError, match="unit pivots need a square matrix"):
+            eliminate_unit_pivots(IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]]), (1, 1))
+        with pytest.raises(ShapeError, match="vector of length 3 does not fit 2 rows"):
+            eliminate_unit_pivots(identity(2), (1, 1, 1))
 
 
 class TestKernelBasis:

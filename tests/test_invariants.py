@@ -6,8 +6,10 @@ import markovshift.groups
 import markovshift.intmat
 from markovshift import (
     FgAbelianGroup,
+    IntMatrix,
     MarkovInvariant,
     NonNegMatrix,
+    PointedGroup,
     PreconditionError,
     VerificationError,
     ZeroOneMatrix,
@@ -21,16 +23,22 @@ from markovshift import (
     identity_minus,
     invariant_triple,
     pointed_is_isomorphic,
+    realize,
+    smith_normal_form,
     tail_extension,
     validate,
 )
+from markovshift.intmat import eliminate_unit_pivots
 from markovshift.realization import base_matrix
 from markovshift.shifts import column_amalgamation
 
 from _support import (
+    all_shapes_up_to,
     count_calls,
+    elements,
     invariant_unmerged,
     kernel_basis,
+    presentation_by_smith_form,
     random_nonneg,
     random_out_split,
     random_zero_one,
@@ -60,8 +68,9 @@ class TestBowenFranks:
         rng = random.Random(3)
         for _ in range(10):
             m = random_zero_one(rng, rng.randint(2, 4))
-            plain = from_presentation(identity_minus(m)).group
-            assert from_presentation(identity_minus(m, transpose=True)).group == plain
+            ones = (1,) * m.size
+            plain = from_presentation(identity_minus(m), ones).group
+            assert from_presentation(identity_minus(m, transpose=True), ones).group == plain
 
 
 class TestInvariantTriple:
@@ -116,11 +125,18 @@ class TestInvariantTriple:
         bareiss = count_calls(monkeypatch, markovshift.intmat, "determinant")
         rng = random.Random(63)
         matrices = [random_zero_one(rng, rng.randint(2, 5)) for _ in range(5)]
-        matrices.append(base_matrix((0, 0, 2)))
+        matrices += [base_matrix((0, 0, 2)), FULL2, FULL3]
+        blocks = 0
         for m in matrices:
             calls.clear()
             invariant_triple(m)
-            assert calls == [identity_minus(column_amalgamation(m), transpose=True)]
+            merged = column_amalgamation(m)
+            rest, _, _ = eliminate_unit_pivots(identity_minus(merged, transpose=True), (1,) * merged.size)
+            # the Smith form runs once, on the block the unit pivots leave, or not at all
+            assert calls == ([] if rest is None else [rest])
+            assert all(abs(x) != 1 for block in calls for row in block.entries for x in row)
+            blocks += len(calls)
+        assert 0 < blocks < len(matrices)
         assert bareiss == []
 
     def test_determinant_agrees_with_bareiss(self):
@@ -139,7 +155,7 @@ class TestInvariantTriple:
         invariant_triple(m)
         assert builds == []
         # reading a transform builds it once through the counted function
-        snf = from_presentation(identity_minus(m, transpose=True)).snf
+        snf = smith_normal_form(identity_minus(m, transpose=True))
         assert snf.U_inv is snf.U_inv
         assert len(builds) == 1
 
@@ -221,6 +237,54 @@ class TestColumnAmalgamation:
         assert inv.group == rows_merged.group == FgAbelianGroup(0, (2,))
         assert inv.det_value == rows_merged.det_value
         assert not pointed_is_isomorphic(inv.pointed, rows_merged.pointed)
+
+
+class TestAgainstOneSmithForm:
+    """The unit pivots and the block's Smith form against one Smith form of the whole matrix."""
+
+    @staticmethod
+    def assert_agrees(m, blocks):
+        ones = (1,) * m.rows
+        blocks.clear()
+        got, want = from_presentation(m, ones), presentation_by_smith_form(m, ones)
+        assert got.group == want.group
+        assert got.determinant == want.determinant == determinant(m)
+        assert pointed_is_isomorphic(PointedGroup(got.group, got.point), PointedGroup(want.group, want.point))
+        assert len(blocks) <= 1
+        assert all(abs(x) != 1 for block in blocks for row in block.entries for x in row)
+        return got
+
+    def test_random_matrices(self, monkeypatch):
+        blocks = count_calls(monkeypatch, markovshift.groups, "smith_normal_form")
+        rng = random.Random(67)
+        singular = 0
+        for k in range(600):
+            n, density = rng.randint(2, 41), rng.uniform(0.1, 0.5)
+            rows = [[int(rng.random() < density) for _ in range(n)] for _ in range(n)]
+            if k % 5 == 0:
+                # rows i and j of id - A are both -r
+                i, j = rng.sample(range(n), 2)
+                r = list(rows[i])
+                r[i] = r[j] = 0
+                rows[i] = [int(t == i) + x for t, x in enumerate(r)]
+                rows[j] = [int(t == j) + x for t, x in enumerate(r)]
+            # id - A^t
+            m = IntMatrix.from_rows([[int(s == t) - rows[t][s] for t in range(n)] for s in range(n)])
+            pres = self.assert_agrees(m, blocks)
+            singular += pres.determinant == 0
+        assert singular >= 120
+
+    def test_realized_matrices(self, monkeypatch):
+        blocks = count_calls(monkeypatch, markovshift.groups, "smith_normal_form")
+        for factors in all_shapes_up_to(20):
+            group = FgAbelianGroup(0, factors)
+            for point in elements(group):
+                for sign in (-1, 1):
+                    matrix, _ = realize(group, point, sign)
+                    merged = column_amalgamation(matrix)
+                    pres = self.assert_agrees(identity_minus(merged, transpose=True), blocks)
+                    assert (pres.group, pres.determinant) == (group, sign * group.order())
+                    assert pointed_is_isomorphic(PointedGroup(group, pres.point), PointedGroup(group, point))
 
 
 class TestDecisions:

@@ -29,6 +29,7 @@ from markovshift import (
     tail_extension,
     validate,
 )
+from markovshift.intmat import eliminate_unit_pivots
 from markovshift.realization import cyclic_base, cyclic_tails
 from markovshift.shifts import column_amalgamation, edge_shift
 
@@ -86,7 +87,7 @@ class TestChooseShape:
             a = base_matrix(d)
             det = determinant(identity_minus(a))
             assert (det > 0) - (det < 0) == sign
-            assert from_presentation(identity_minus(a, transpose=True)).group == group
+            assert from_presentation(identity_minus(a, transpose=True), (1,) * a.size).group == group
 
 
 class TestBaseMatrix:
@@ -99,13 +100,13 @@ class TestBaseMatrix:
         a = base_matrix((0, 3))
         assert a.entries == ((2, 1), (1, 5))
         assert determinant(identity_minus(a)) == 3
-        assert from_presentation(identity_minus(a, transpose=True)).group == FgAbelianGroup(0, (3,))
+        assert from_presentation(identity_minus(a, transpose=True), (1, 1)).group == FgAbelianGroup(0, (3,))
 
     def test_d_zero_zero(self):
         a = base_matrix((0, 0))
         assert a.entries == ((2, 1), (1, 2))
         assert determinant(identity_minus(a)) == 0
-        assert from_presentation(identity_minus(a, transpose=True)).group == FgAbelianGroup(1)
+        assert from_presentation(identity_minus(a, transpose=True), (1, 1)).group == FgAbelianGroup(1)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(PreconditionError):
@@ -130,8 +131,8 @@ class TestBaseMatrix:
 
 def placed_in_orbit(group, point, d, c) -> bool:
     """True when c's class in BF(base_matrix(d)^t) is in the orbit of the point."""
-    pres = from_presentation(identity_minus(base_matrix(d), transpose=True))
-    return pointed_is_isomorphic(PointedGroup(pres.group, pres.element_from_vector(c)), PointedGroup(group, point))
+    pres = from_presentation(identity_minus(base_matrix(d), transpose=True), c)
+    return pointed_is_isomorphic(PointedGroup(pres.group, pres.point), PointedGroup(group, point))
 
 
 def check_point_vector(group, point, sign):
@@ -160,8 +161,8 @@ class TestPointVector:
             n = rng.randint(2, 5)
             d = (0,) + tuple(rng.randint(0, 6) for _ in range(n - 1))
             a = base_matrix(d)
-            pres = from_presentation(identity_minus(a, transpose=True))
-            assert pres.element_from_vector((1,) * n) == pres.group.zero()
+            pres = from_presentation(identity_minus(a, transpose=True), (1,) * n)
+            assert pres.point == pres.group.zero()
 
     def test_every_element_gets_nonneg_representative(self):
         for factors in [(2, 4), (3, 9), (2, 12)]:
@@ -216,9 +217,8 @@ class TestTailExtension:
         group = FgAbelianGroup(0, (3,))
         u = group.element(torsion=(1,))
         b = tail_extension(a, point_vector(group, u, (0, 3)))
-        pres_b = from_presentation(identity_minus(b, transpose=True))
-        u_b = pres_b.element_from_vector((1,) * b.size)
-        assert pointed_is_isomorphic(PointedGroup(group, u), PointedGroup(pres_b.group, u_b))
+        pres_b = from_presentation(identity_minus(b, transpose=True), (1,) * b.size)
+        assert pointed_is_isomorphic(PointedGroup(group, u), PointedGroup(pres_b.group, pres_b.point))
 
     def test_preserves_determinant(self):
         rng = random.Random(77)
@@ -301,20 +301,29 @@ class TestRealize:
         snf = count_calls(monkeypatch, markovshift.groups, "smith_normal_form")
         bareiss = count_calls(monkeypatch, markovshift.intmat, "determinant")
         # both plans place the point in closed form, so the one Smith form is
-        # that of the returned matrix's column amalgamation, which also gives
-        # the determinant; Z/12 takes the cyclic base
+        # that of the block the unit pivots leave of the returned matrix's
+        # column amalgamation, which also gives the determinant; Z/12 takes
+        # the cyclic base, and the trivial group leaves no block
         triples = [
             (FgAbelianGroup(0, (2, 4)), (), (1, 2), 1),
             (FgAbelianGroup(1, (2,)), (2,), (1,), 0),
             (FgAbelianGroup(2, (2, 12, 360)), (3, -6), (1, 5, 77), 0),
             (FgAbelianGroup(0, (12,)), (), (5,), -1),
+            (FgAbelianGroup(0), (), (), 1),
         ]
         for group, free, torsion, sign in triples:
             snf.clear()
             matrix, plan = realize(group, group.element(free, torsion), sign)
-            assert len(snf) == 1
-            assert snf[0].rows == column_amalgamation(matrix).size <= plan.extended.size
-            assert bareiss == []
+            merged = column_amalgamation(matrix)
+            rest, _, _ = eliminate_unit_pivots(identity_minus(merged, transpose=True), (1,) * merged.size)
+            if group == FgAbelianGroup(0):
+                assert snf == [] and rest is None
+                continue
+            assert snf == [rest]
+            # the block presents the group, so it has a row per generator
+            rank = group.free_rank + len(group.torsion_factors)
+            assert rank <= rest.rows < merged.size <= plan.extended.size
+        assert bareiss == []
 
     def test_no_transform_matrix_is_built(self, monkeypatch):
         builds = count_calls(monkeypatch, markovshift.intmat, "_transform_matrix")
@@ -379,13 +388,13 @@ class TestCyclicBase:
         for m in range(2, 121):
             for sign in (-1, 1):
                 base, weights = cyclic_base(m, sign)
-                pres = from_presentation(identity_minus(base, transpose=True))
+                relation = identity_minus(base, transpose=True)
                 unit = (0, 1) if weights[1] == 1 else (1, 0)
-                (g,) = pres.element_from_vector(unit).torsion_coords
+                (g,) = from_presentation(relation, unit).point.torsion_coords
                 for _ in range(5):
                     v = (rng.randint(-50, 50), rng.randint(-50, 50))
                     w = weights[0] * v[0] + weights[1] * v[1]
-                    assert pres.element_from_vector(v).torsion_coords == ((w * g) % m,)
+                    assert from_presentation(relation, v).point.torsion_coords == ((w * g) % m,)
 
     def test_tails_are_minimal(self):
         # brute force over every c no larger in sum than the box's far corner,
