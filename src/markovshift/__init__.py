@@ -28,7 +28,6 @@ from .groups import (
     FgAbelianGroup,
     GroupElement,
     PointedGroup,
-    Presentation,
     from_presentation,
     pointed_is_isomorphic,
     tensor_z2,
@@ -51,11 +50,11 @@ from .shifts import (
     count_period_points,
     edge_shift,
     higher_block,
-    identity_minus,
     is_cyclically_admissible,
     is_irreducible,
     lex_min_rotation,
     periodic_orbit_words,
+    relation_matrix,
     validate,
 )
 

@@ -13,16 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import DomainError, InadmissibleWordError, PreconditionError, VerificationError
+from .errors import DomainError, InadmissibleWordError, VerificationError
 from .intmat import _check_ints
 from .shifts import (
     ZeroOneMatrix,
+    _check_count,
     admissible_words,
     block_graph,
     is_cyclically_admissible,
-    is_irreducible,
-    is_permutation_matrix,
     lex_min_rotation,
+    require_classifiable,
 )
 
 
@@ -34,8 +34,7 @@ class LocallyConstantFn:
     values: Mapping[tuple[int, ...], int]
 
     def __post_init__(self):
-        if self.window < 1:
-            raise DomainError("window must be at least 1")
+        _check_count("window", self.window)
         for w in self.values:
             if len(w) != self.window:
                 raise DomainError(f"table key {w} does not have window length {self.window}")
@@ -144,10 +143,7 @@ def is_positive_class(a: ZeroOneMatrix, fn: LocallyConstantFn) -> PositivityResu
     strongly connected and holds every cycle in one component.  A negative
     verdict returns a witness cyclic word.
     """
-    if not is_irreducible(a):
-        raise PreconditionError("positivity decision requires an irreducible matrix")
-    if is_permutation_matrix(a):
-        raise PreconditionError("positivity decision requires a shift space without isolated points")
+    require_classifiable(a)
     words, successors = block_graph(a, fn.window)
     if set(fn.values) != set(words):
         raise DomainError("function table does not match the admissible words of the matrix")

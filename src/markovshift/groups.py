@@ -119,17 +119,8 @@ class PointedGroup:
 # presentations Z^n / M Z^n
 
 
-@dataclass(frozen=True)
-class Presentation:
-    """The quotient Z^n / M Z^n of a square M, the class of one vector in it, and det M."""
-
-    group: FgAbelianGroup
-    point: GroupElement
-    determinant: int
-
-
-def from_presentation(m: IntMatrix, v: Sequence[int]) -> Presentation:
-    """Canonical form of Z^n modulo the columns of a square m, with the class of v.
+def from_presentation(m: IntMatrix, v: Sequence[int]) -> tuple[FgAbelianGroup, GroupElement, int]:
+    """The group Z^n modulo the columns of a square m, the class of v in it, and det m.
 
     One pass clears the +-1 pivots and carries v along
     (``eliminate_unit_pivots``); on relation matrices of 0/1 matrices
@@ -144,7 +135,7 @@ def from_presentation(m: IntMatrix, v: Sequence[int]) -> Presentation:
     rest, tail, sign = eliminate_unit_pivots(m, v)
     if rest is None:
         trivial = FgAbelianGroup(0)
-        return Presentation(trivial, trivial.zero(), sign)
+        return trivial, trivial.zero(), sign
     snf = smith_normal_form(rest)
     diag = snf.diagonal
     w = snf.u_times(tail)
@@ -152,7 +143,7 @@ def from_presentation(m: IntMatrix, v: Sequence[int]) -> Presentation:
     point = group.element(
         [x for x, d in zip(w, diag) if d == 0], [x for x, d in zip(w, diag) if d >= 2]
     )
-    return Presentation(group, point, sign * snf.determinant)
+    return group, point, sign * snf.determinant
 
 
 def tensor_z2(g: FgAbelianGroup) -> FgAbelianGroup:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import PreconditionError, VerificationError
+from .errors import VerificationError
 from .groups import (
     FgAbelianGroup,
     GroupElement,
@@ -22,13 +22,7 @@ from .groups import (
     pointed_is_isomorphic,
     tensor_z2,
 )
-from .shifts import (
-    NonNegMatrix,
-    column_amalgamation,
-    identity_minus,
-    is_irreducible,
-    is_permutation_matrix,
-)
+from .shifts import NonNegMatrix, column_amalgamation, relation_matrix, require_classifiable
 
 
 @dataclass(frozen=True)
@@ -73,32 +67,24 @@ class MarkovInvariant:
         }
 
 
-def _require_classifiable(a: NonNegMatrix) -> None:
-    if not is_irreducible(a):
-        raise PreconditionError("matrix is reducible: the transition graph is not strongly connected")
-    if is_permutation_matrix(a):
-        raise PreconditionError(
-            "matrix is a permutation matrix: the shift space is finite and has isolated points"
-        )
-
-
 def invariant_triple(a: NonNegMatrix) -> MarkovInvariant:
     """Assemble the full invariant of an irreducible, non-permutation matrix.
 
-    The matrix is checked as given, then replaced by its total column
-    amalgamation B, a one-sided conjugate with the same invariant: an edge
-    shift shrinks back to the matrix it came from.  Merging states sends
-    the all-ones vector of A to that of B, so one presentation of id - B^t
-    with B's all-ones vector gives all three parts: the group, the point,
-    and det(id - A) = det(id - B^t).  The +-1 pivots are cleared first and
-    only the block they leave gets a Smith form (none for a trivial group).
-    The point's coordinates depend on the states of B, so points are
-    compared with `pointed_is_isomorphic`, never by their coordinates.
+    The matrix is replaced by its total column amalgamation B, a one-sided
+    conjugate with the same invariant: an edge shift shrinks back to the
+    matrix it came from.  The conjugacy keeps irreducibility and finiteness,
+    so B is checked in place of A.  Merging states sends the all-ones vector
+    of A to that of B, so one presentation of id - B^t with B's all-ones
+    vector gives all three parts: the group, the point, and
+    det(id - A) = det(id - B^t).  The +-1 pivots are cleared first and only
+    the block they leave gets a Smith form (none for a trivial group).  The
+    point's coordinates depend on the states of B, so points are compared
+    with `pointed_is_isomorphic`, never by their coordinates.
     """
-    _require_classifiable(a)
     b = column_amalgamation(a)
-    pres = from_presentation(identity_minus(b, transpose=True), (1,) * b.size)
-    return MarkovInvariant(group=pres.group, point=pres.point, det_value=pres.determinant)
+    require_classifiable(b)
+    group, point, det_value = from_presentation(relation_matrix(b), (1,) * b.size)
+    return MarkovInvariant(group=group, point=point, det_value=det_value)
 
 
 def _as_invariant(a) -> MarkovInvariant:

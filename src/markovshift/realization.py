@@ -19,8 +19,8 @@ verifies the result once, by recomputing the invariant of the returned
 matrix and matching it against the request, the point with
 ``pointed_is_isomorphic``.  The returned edge shift merges back to the
 tail-extended matrix (``invariant_triple`` takes its column
-amalgamation), so that check, the one Smith form of a realization, has
-the smaller size.
+amalgamation), so that check, irreducibility, the permutation test and
+the one Smith form of a realization, runs at the smaller size.
 """
 
 from __future__ import annotations
@@ -172,20 +172,29 @@ def cyclic_tails(m: int, weights: tuple[int, int], u: int, bound: int) -> tuple[
 
     The tail-extended base carries the class of 1 + c; automorphisms of
     Z/m are the unit multiples, so that class lies in the orbit of u
-    exactly when gcd(class, m) = gcd(u, m).  Ties go to the smaller c1,
-    and None means no sum below ``bound`` has such tails.  The weights of
-    ``cyclic_base`` are 1 and -k, so the classes over tails below k at the
-    weight-1 state and below ceil(m / k) at the other are k * ceil(m / k)
-    >= m consecutive integers: every residue is reached by a sum below
-    k + ceil(m / k).  A sum k costs k + 1 gcds, so callers keep ``bound`` small.
+    exactly when gcd(class, m) = g = gcd(u, m).  Ties go to the smaller c1,
+    and None means no sum below ``bound`` has such tails.  One weight of
+    ``cyclic_base`` is 1: for each length o of the other tail, the class is
+    r + y for the weight-1 tail y, and the least y is the least y = -r
+    (mod g) with gcd(r + y, m) = g, stepped by g.  o stops once it passes
+    the best sum.
     """
     w1, w2 = weights
     g = math.gcd(u, m)
-    for k in range(bound):
-        for c1 in range(k + 1):
-            if math.gcd(w1 * (1 + c1) + w2 * (1 + k - c1), m) == g:
-                return c1, k - c1
-    return None
+    other = w2 if w1 == 1 else w1
+    best, end = None, bound
+    o = 0
+    while o < end:
+        r = other * (1 + o) + 1
+        y = -r % g
+        while o + y < end and math.gcd(r + y, m) != g:
+            y += g
+        if o + y < end:
+            best = (y, o) if w1 == 1 else (o, y)
+            # at an equal sum a later o has the smaller c1 only when c1 is the weight-1 tail
+            end = o + y + (w1 == 1)
+        o += 1
+    return best
 
 
 def tail_extension(a: NonNegMatrix, c) -> NonNegMatrix:
@@ -263,8 +272,8 @@ def realize(
     d, base, c = _plan(group, point, sign)
     extended = tail_extension(base, c)
     final = edge_shift(extended)
-    # edge_shift returns a ZeroOneMatrix, so only irreducibility and the
-    # permutation property are left to check, and invariant_triple checks both
+    # edge_shift returns a ZeroOneMatrix, so only irreducibility and the permutation
+    # property are left to check; invariant_triple checks both on the merged matrix
     try:
         inv = invariant_triple(final)
     except PreconditionError as exc:

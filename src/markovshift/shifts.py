@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import chain, compress
 from typing import Iterable
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, PreconditionError, ShapeError
 from .intmat import IntMatrix, _check_ints, _is_int
 
 
@@ -87,10 +87,17 @@ class ZeroOneMatrix(NonNegMatrix):
     ZERO_ONE = True
 
 
-def identity_minus(a: NonNegMatrix, transpose: bool = False) -> IntMatrix:
-    """The integer matrix id - A (or id - A^t)."""
+def _check_count(what: str, k) -> None:
+    """Raise ShapeError unless k is an integer, then DomainError unless k >= 1."""
+    _check_ints(what, (k,))
+    if k < 1:
+        raise DomainError(f"{what} must be at least 1")
+
+
+def relation_matrix(a: NonNegMatrix) -> IntMatrix:
+    """The integer matrix id - A^t, whose columns present BF(A^t)."""
     rows = []
-    for i, row in enumerate(zip(*a.entries) if transpose else a.entries):
+    for i, row in enumerate(zip(*a.entries)):
         negated = [-x for x in row]
         negated[i] += 1
         rows.append(tuple(negated))
@@ -207,6 +214,24 @@ def _row_issues(rows: tuple[tuple, ...]) -> tuple[Issue, ...]:
     return tuple(issues)
 
 
+def classifiability_issue(a: NonNegMatrix) -> Issue | None:
+    """The first issue of a built matrix: too small, reducible or a permutation (not condition (I))."""
+    if a.size == 1 and a.entries[0][0] == 1:
+        return _TOO_SMALL
+    if not is_irreducible(a):
+        return Issue("reducible", "the transition graph is not strongly connected")
+    if is_permutation_matrix(a):
+        return Issue("condition_I", "permutation matrix: the shift space is finite, so every point is isolated")
+    return None
+
+
+def require_classifiable(a: NonNegMatrix) -> None:
+    """Raise PreconditionError naming the first issue of ``classifiability_issue``."""
+    issue = classifiability_issue(a)
+    if issue is not None:
+        raise PreconditionError(f"matrix is not classifiable: {issue.message}")
+
+
 def validate(matrix) -> Diagnostics:
     """Structural and dynamical diagnostics for a transition matrix.
 
@@ -222,14 +247,8 @@ def validate(matrix) -> Diagnostics:
             matrix = NonNegMatrix(rows)
         except (ShapeError, DomainError):
             return Diagnostics(_row_issues(rows))
-    if matrix.size == 1 and matrix.entries[0][0] == 1:
-        return Diagnostics((_TOO_SMALL,))
-    if not is_irreducible(matrix):
-        return Diagnostics((Issue("reducible", "the transition graph is not strongly connected"),))
-    if is_permutation_matrix(matrix):
-        message = "permutation matrix: the shift space is finite, so every point is isolated"
-        return Diagnostics((Issue("condition_I", message),))
-    return Diagnostics(())
+    issue = classifiability_issue(matrix)
+    return Diagnostics(() if issue is None else (issue,))
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +268,7 @@ def periodic_orbit_words(a: ZeroOneMatrix, max_period: int) -> list[tuple[int, .
     pushed largest first, so words leave the stack in lexicographic order
     within each length and a stable sort by length finishes the listing.
     """
-    if max_period < 1:
-        raise DomainError("period bound must be at least 1")
+    _check_count("period bound", max_period)
     n = a.size
     rows = a.entries
     descending_successors = [()] + [
@@ -278,8 +296,7 @@ def periodic_orbit_words(a: ZeroOneMatrix, max_period: int) -> list[tuple[int, .
 
 def count_period_points(a: ZeroOneMatrix, p: int) -> int:
     """Number of points fixed by the p-th shift power: trace of A^p, by repeated squaring."""
-    if p < 1:
-        raise DomainError("period must be at least 1")
+    _check_count("period", p)
     square = a.as_int_matrix()
     power = None
     while True:
@@ -354,8 +371,7 @@ def column_amalgamation(a: NonNegMatrix) -> NonNegMatrix:
 
 def admissible_words(a: ZeroOneMatrix, k: int) -> list[tuple[int, ...]]:
     """All admissible words of length k, in lexicographic order."""
-    if k < 1:
-        raise DomainError("word length must be at least 1")
+    _check_count("word length", k)
     adj = _adjacency(a)
     words: list[tuple[int, ...]] = [(s,) for s in range(1, a.size + 1)]
     for _ in range(k - 1):
@@ -387,6 +403,7 @@ def higher_block(a: ZeroOneMatrix, k: int) -> ZeroOneMatrix:
     States are the admissible k-words in lexicographic order, with the
     transitions of their k-block graph (`block_graph`).
     """
+    _check_count("word length", k)
     if k == 1:
         return a if isinstance(a, ZeroOneMatrix) else ZeroOneMatrix(a.entries)
     words, successors = block_graph(a, k)

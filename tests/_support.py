@@ -17,13 +17,12 @@ from markovshift import (
     MarkovInvariant,
     NonNegMatrix,
     PointedGroup,
-    Presentation,
     ShapeError,
     ZeroOneMatrix,
     admissible_words,
-    identity_minus,
     is_irreducible,
     orbit_sum,
+    relation_matrix,
     smith_normal_form,
 )
 
@@ -34,6 +33,11 @@ class OracleLimitError(Exception):
 
 def identity(n: int) -> IntMatrix:
     return IntMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+
+
+def identity_minus(a: NonNegMatrix) -> IntMatrix:
+    """The integer matrix id - A, untransposed; the library presents id - A^t."""
+    return IntMatrix(tuple(tuple(int(i == j) - x for j, x in enumerate(row)) for i, row in enumerate(a.entries)))
 
 
 def mul_vector(m: IntMatrix, v: Sequence[int]) -> tuple[int, ...]:
@@ -133,7 +137,13 @@ def count_calls(monkeypatch, module, name: str) -> list:
 
 
 def random_zero_one(rng: random.Random, n: int, density: float = 0.5) -> ZeroOneMatrix:
-    """Random irreducible non-permutation 0/1 matrix of size n."""
+    """Random irreducible non-permutation 0/1 matrix of size n >= 2.
+
+    ValueError for n < 2: the one 1-state 0/1 matrix with a nonzero row,
+    [[1]], is a permutation matrix, so no draw would ever be returned.
+    """
+    if n < 2:
+        raise ValueError(f"no irreducible non-permutation 0/1 matrix has {n} states")
     while True:
         rows = [[1 if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
         if any(sum(r) == 0 for r in rows):
@@ -150,7 +160,13 @@ def random_zero_one(rng: random.Random, n: int, density: float = 0.5) -> ZeroOne
 
 
 def random_nonneg(rng: random.Random, n: int, max_entry: int = 3) -> NonNegMatrix:
-    """Random irreducible non-permutation nonnegative matrix of size n."""
+    """Random irreducible non-permutation nonnegative matrix of size n.
+
+    ValueError when no draw could pass: a 1-state matrix needs an entry of
+    at least 2, since [[1]] is a permutation matrix.
+    """
+    if n < 1 or max_entry < (2 if n == 1 else 1):
+        raise ValueError(f"no irreducible non-permutation matrix has {n} states and entries <= {max_entry}")
     while True:
         rows = [[rng.randint(0, max_entry) for _ in range(n)] for _ in range(n)]
         if any(sum(r) == 0 for r in rows):
@@ -185,7 +201,7 @@ def random_out_split(rng: random.Random, a: NonNegMatrix) -> NonNegMatrix:
     return NonNegMatrix.from_rows(r + [r[s]] for r in rows)
 
 
-def presentation_by_smith_form(m: IntMatrix, v: Sequence[int]) -> Presentation:
+def presentation_by_smith_form(m: IntMatrix, v: Sequence[int]) -> tuple[FgAbelianGroup, GroupElement, int]:
     """Oracle for ``from_presentation``: one Smith form of all of m.
 
     Its recorded row operations are replayed on v, the diagonal positions
@@ -197,7 +213,7 @@ def presentation_by_smith_form(m: IntMatrix, v: Sequence[int]) -> Presentation:
     w = snf.u_times(v)
     group = FgAbelianGroup(diag.count(0), tuple(d for d in diag if d >= 2))
     point = group.element([x for x, d in zip(w, diag) if d == 0], [x for x, d in zip(w, diag) if d >= 2])
-    return Presentation(group, point, snf.determinant)
+    return group, point, snf.determinant
 
 
 def invariant_unmerged(a: NonNegMatrix) -> MarkovInvariant:
@@ -207,8 +223,24 @@ def invariant_unmerged(a: NonNegMatrix) -> MarkovInvariant:
     an independent check of the column amalgamation and of the pass that
     ``invariant_triple`` runs.
     """
-    pres = presentation_by_smith_form(identity_minus(a, transpose=True), (1,) * a.size)
-    return MarkovInvariant(group=pres.group, point=pres.point, det_value=pres.determinant)
+    group, point, det_value = presentation_by_smith_form(relation_matrix(a), (1,) * a.size)
+    return MarkovInvariant(group=group, point=point, det_value=det_value)
+
+
+def cyclic_tails_by_walk(m: int, weights: tuple[int, int], u: int, bound: int) -> tuple[int, int] | None:
+    """Oracle for ``cyclic_tails``: walk the tails by sum, c1 ascending within a sum.
+
+    Returns the first (c1, c2) whose class w1 (1 + c1) + w2 (1 + c2) has
+    gcd(class, m) = gcd(u, m), or None when no sum below bound has one.
+    A sum k costs k + 1 gcds, so keep m small.
+    """
+    w1, w2 = weights
+    g = math.gcd(u, m)
+    for k in range(bound):
+        for c1 in range(k + 1):
+            if math.gcd(w1 * (1 + c1) + w2 * (1 + k - c1), m) == g:
+                return c1, k - c1
+    return None
 
 
 def invariant_factor_chains(order: int) -> list[tuple[int, ...]]:

@@ -25,13 +25,13 @@ from markovshift import (
     decide_flow,
     determinant,
     edge_shift,
-    identity_minus,
     invariant_triple,
     is_positive_class,
     orbit_sum,
     periodic_orbit_words,
     pointed_is_isomorphic,
     realize,
+    relation_matrix,
     smith_normal_form,
 )
 from markovshift.cohomology import LocallyConstantFn
@@ -41,6 +41,7 @@ from _support import (
     all_shapes_up_to,
     elements,
     aut_orbit,
+    identity_minus,
     orbit_brute_force,
     random_int_matrix,
     random_nonneg,
@@ -256,7 +257,7 @@ def test_criterion_08_structural_invariants(realization_family):
     family_cases = realization_family[0]
     matrices += [case[3] for case in family_cases[:: max(1, len(family_cases) // 25)]]
     for matrix in matrices:
-        relation = identity_minus(matrix, transpose=True)
+        relation = relation_matrix(matrix)
         check_snf(relation)
         checked += 1
         inv = invariant_triple(matrix)

@@ -60,6 +60,13 @@ class TestLocallyConstantFn:
             with pytest.raises(ShapeError, match="is not an integer"):
                 LocallyConstantFn(1, {(1,): 1, (2,): bad})
 
+    def test_window_must_be_an_integer(self):
+        # a window True matched the 1-symbol keys and was decided as 1
+        with pytest.raises(ShapeError, match="window True is not an integer"):
+            LocallyConstantFn(True, {(1,): 1, (2,): -1})
+        with pytest.raises(ShapeError, match="window 1.5 is not an integer"):
+            LocallyConstantFn(1.5, {})
+
     def test_evaluation_off_domain_is_an_error(self):
         with pytest.raises(DomainError):
             SIGN_FN.value((3,))
@@ -184,12 +191,16 @@ class TestIsPositiveClass:
     def test_requires_irreducible(self):
         reducible = [[1, 1], [0, 1]]
         m = ZeroOneMatrix.from_rows(reducible)
-        with pytest.raises(PreconditionError, match="^positivity decision requires an irreducible matrix$"):
+        message = "^matrix is not classifiable: the transition graph is not strongly connected$"
+        with pytest.raises(PreconditionError, match=message):
             is_positive_class(m, constant_fn(m, 1))
 
     def test_requires_condition_I(self):
         m = ZeroOneMatrix.from_rows([[0, 1], [1, 0]])
-        message = "^positivity decision requires a shift space without isolated points$"
+        message = (
+            "^matrix is not classifiable: "
+            "permutation matrix: the shift space is finite, so every point is isolated$"
+        )
         with pytest.raises(PreconditionError, match=message):
             is_positive_class(m, constant_fn(m, 1))
 

@@ -9,7 +9,7 @@ from markovshift import (
     base_matrix,
     determinant,
     edge_shift,
-    identity_minus,
+    relation_matrix,
     smith_normal_form,
     tail_extension,
 )
@@ -55,7 +55,7 @@ def golden_inputs() -> dict[str, IntMatrix]:
     return {
         "full_three_shift": IntMatrix.from_rows(FULL3_RELATION),
         "non_unit_12x9": sparse_int_matrix(random.Random(1), 12, 9, 0.3, NON_UNITS),
-        "relation_40": identity_minus(random_zero_one(random.Random(40), 40, density=0.3), transpose=True),
+        "relation_40": relation_matrix(random_zero_one(random.Random(40), 40, density=0.3)),
     }
 
 
@@ -125,7 +125,7 @@ class TestSmithNormalForm:
         # the diagonal-plan realization of Z/109 at the point -1, sign -1
         final = edge_shift(tail_extension(base_matrix((0, 109, 1)), (0, 1, 0)))
         assert final.size == 123
-        snf = snf_invariants_hold(identity_minus(final, transpose=True))
+        snf = snf_invariants_hold(relation_matrix(final))
         assert snf.diagonal == (1,) * 122 + (109,)
 
     def test_operation_log_is_pinned(self):

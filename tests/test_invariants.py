@@ -4,6 +4,7 @@ import pytest
 
 import markovshift.groups
 import markovshift.intmat
+import markovshift.shifts
 from markovshift import (
     FgAbelianGroup,
     IntMatrix,
@@ -20,10 +21,10 @@ from markovshift import (
     from_presentation,
     full_group_abelianization,
     higher_block,
-    identity_minus,
     invariant_triple,
     pointed_is_isomorphic,
     realize,
+    relation_matrix,
     smith_normal_form,
     tail_extension,
     validate,
@@ -36,6 +37,7 @@ from _support import (
     all_shapes_up_to,
     count_calls,
     elements,
+    identity_minus,
     invariant_unmerged,
     kernel_basis,
     presentation_by_smith_form,
@@ -69,8 +71,9 @@ class TestBowenFranks:
         for _ in range(10):
             m = random_zero_one(rng, rng.randint(2, 4))
             ones = (1,) * m.size
-            plain = from_presentation(identity_minus(m), ones).group
-            assert from_presentation(identity_minus(m, transpose=True), ones).group == plain
+            plain, _, _ = from_presentation(identity_minus(m), ones)
+            transposed, _, _ = from_presentation(relation_matrix(m), ones)
+            assert transposed == plain
 
 
 class TestInvariantTriple:
@@ -107,6 +110,24 @@ class TestInvariantTriple:
         with pytest.raises(PreconditionError):
             invariant_triple(ZeroOneMatrix.from_rows([[0, 1], [1, 0]]))
 
+    def test_classifiability_checked_once_on_the_merged_matrix(self, monkeypatch):
+        checked = count_calls(monkeypatch, markovshift.shifts, "is_irreducible")
+        final = edge_shift(tail_extension(base_matrix((0, 3)), (0, 1)))
+        for m in (final, FULL2, GOLDEN):
+            checked.clear()
+            invariant_triple(m)
+            assert checked == [column_amalgamation(m)]
+        assert column_amalgamation(final).size == 3 < final.size
+
+    def test_edge_shift_of_an_unclassifiable_matrix_is_refused(self):
+        for rows, message in (
+            ([[1, 1], [0, 1]], "the transition graph is not strongly connected"),
+            ([[0, 1], [1, 0]], "permutation matrix: the shift space is finite, so every point is isolated"),
+        ):
+            with pytest.raises(PreconditionError) as raised:
+                invariant_triple(edge_shift(NonNegMatrix.from_rows(rows)))
+            assert str(raised.value) == f"matrix is not classifiable: {message}"
+
     def test_internal_consistency_on_random_matrices(self):
         rng = random.Random(61)
         for _ in range(25):
@@ -118,7 +139,7 @@ class TestInvariantTriple:
             else:
                 assert abs(inv.det_value) == order
                 assert inv.k1_rank == 0
-            assert inv.k1_rank == len(kernel_basis(identity_minus(m, transpose=True)))
+            assert inv.k1_rank == len(kernel_basis(relation_matrix(m)))
 
     def test_one_smith_form_per_invariant(self, monkeypatch):
         calls = count_calls(monkeypatch, markovshift.groups, "smith_normal_form")
@@ -131,7 +152,7 @@ class TestInvariantTriple:
             calls.clear()
             invariant_triple(m)
             merged = column_amalgamation(m)
-            rest, _, _ = eliminate_unit_pivots(identity_minus(merged, transpose=True), (1,) * merged.size)
+            rest, _, _ = eliminate_unit_pivots(relation_matrix(merged), (1,) * merged.size)
             # the Smith form runs once, on the block the unit pivots leave, or not at all
             assert calls == ([] if rest is None else [rest])
             assert all(abs(x) != 1 for block in calls for row in block.entries for x in row)
@@ -155,7 +176,7 @@ class TestInvariantTriple:
         invariant_triple(m)
         assert builds == []
         # reading a transform builds it once through the counted function
-        snf = smith_normal_form(identity_minus(m, transpose=True))
+        snf = smith_normal_form(relation_matrix(m))
         assert snf.U_inv is snf.U_inv
         assert len(builds) == 1
 
@@ -246,13 +267,14 @@ class TestAgainstOneSmithForm:
     def assert_agrees(m, blocks):
         ones = (1,) * m.rows
         blocks.clear()
-        got, want = from_presentation(m, ones), presentation_by_smith_form(m, ones)
-        assert got.group == want.group
-        assert got.determinant == want.determinant == determinant(m)
-        assert pointed_is_isomorphic(PointedGroup(got.group, got.point), PointedGroup(want.group, want.point))
+        group, point, det = from_presentation(m, ones)
+        want_group, want_point, want_det = presentation_by_smith_form(m, ones)
+        assert group == want_group
+        assert det == want_det == determinant(m)
+        assert pointed_is_isomorphic(PointedGroup(group, point), PointedGroup(want_group, want_point))
         assert len(blocks) <= 1
         assert all(abs(x) != 1 for block in blocks for row in block.entries for x in row)
-        return got
+        return group, point, det
 
     def test_random_matrices(self, monkeypatch):
         blocks = count_calls(monkeypatch, markovshift.groups, "smith_normal_form")
@@ -270,8 +292,8 @@ class TestAgainstOneSmithForm:
                 rows[j] = [int(t == j) + x for t, x in enumerate(r)]
             # id - A^t
             m = IntMatrix.from_rows([[int(s == t) - rows[t][s] for t in range(n)] for s in range(n)])
-            pres = self.assert_agrees(m, blocks)
-            singular += pres.determinant == 0
+            _, _, det = self.assert_agrees(m, blocks)
+            singular += det == 0
         assert singular >= 120
 
     def test_realized_matrices(self, monkeypatch):
@@ -282,9 +304,9 @@ class TestAgainstOneSmithForm:
                 for sign in (-1, 1):
                     matrix, _ = realize(group, point, sign)
                     merged = column_amalgamation(matrix)
-                    pres = self.assert_agrees(identity_minus(merged, transpose=True), blocks)
-                    assert (pres.group, pres.determinant) == (group, sign * group.order())
-                    assert pointed_is_isomorphic(PointedGroup(group, pres.point), PointedGroup(group, point))
+                    got_group, got_point, det = self.assert_agrees(relation_matrix(merged), blocks)
+                    assert (got_group, det) == (group, sign * group.order())
+                    assert pointed_is_isomorphic(PointedGroup(group, got_point), PointedGroup(group, point))
 
 
 class TestDecisions:
@@ -365,7 +387,7 @@ class TestKGroups:
         matrices += [base_matrix((0, 0)), base_matrix((0, 0, 0, 2))]
         for m in matrices:
             rank = invariant_triple(m).k1_rank
-            assert rank == len(kernel_basis(identity_minus(m, transpose=True)))
+            assert rank == len(kernel_basis(relation_matrix(m)))
 
     def test_accepts_precomputed_invariant(self):
         inv = invariant_triple(FULL3)

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from itertools import chain, product
 
 import pytest
@@ -20,12 +21,12 @@ from markovshift import (
     decide_coe,
     determinant,
     from_presentation,
-    identity_minus,
     invariant_triple,
     is_irreducible,
     point_vector,
     pointed_is_isomorphic,
     realize,
+    relation_matrix,
     tail_extension,
     validate,
 )
@@ -33,7 +34,7 @@ from markovshift.intmat import eliminate_unit_pivots
 from markovshift.realization import cyclic_base, cyclic_tails
 from markovshift.shifts import column_amalgamation, edge_shift
 
-from _support import count_calls, elements
+from _support import count_calls, cyclic_tails_by_walk, elements, identity_minus
 
 FULL2 = ZeroOneMatrix.from_rows([[1, 1], [1, 1]])
 FULL3 = ZeroOneMatrix.from_rows([[1, 1, 1], [1, 1, 1], [1, 1, 1]])
@@ -87,7 +88,8 @@ class TestChooseShape:
             a = base_matrix(d)
             det = determinant(identity_minus(a))
             assert (det > 0) - (det < 0) == sign
-            assert from_presentation(identity_minus(a, transpose=True), (1,) * a.size).group == group
+            presented, _, _ = from_presentation(relation_matrix(a), (1,) * a.size)
+            assert presented == group
 
 
 class TestBaseMatrix:
@@ -100,13 +102,15 @@ class TestBaseMatrix:
         a = base_matrix((0, 3))
         assert a.entries == ((2, 1), (1, 5))
         assert determinant(identity_minus(a)) == 3
-        assert from_presentation(identity_minus(a, transpose=True), (1, 1)).group == FgAbelianGroup(0, (3,))
+        group, _, _ = from_presentation(relation_matrix(a), (1, 1))
+        assert group == FgAbelianGroup(0, (3,))
 
     def test_d_zero_zero(self):
         a = base_matrix((0, 0))
         assert a.entries == ((2, 1), (1, 2))
         assert determinant(identity_minus(a)) == 0
-        assert from_presentation(identity_minus(a, transpose=True), (1, 1)).group == FgAbelianGroup(1)
+        group, _, _ = from_presentation(relation_matrix(a), (1, 1))
+        assert group == FgAbelianGroup(1)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(PreconditionError):
@@ -131,8 +135,8 @@ class TestBaseMatrix:
 
 def placed_in_orbit(group, point, d, c) -> bool:
     """True when c's class in BF(base_matrix(d)^t) is in the orbit of the point."""
-    pres = from_presentation(identity_minus(base_matrix(d), transpose=True), c)
-    return pointed_is_isomorphic(PointedGroup(pres.group, pres.point), PointedGroup(group, point))
+    placed_group, placed, _ = from_presentation(relation_matrix(base_matrix(d)), c)
+    return pointed_is_isomorphic(PointedGroup(placed_group, placed), PointedGroup(group, point))
 
 
 def check_point_vector(group, point, sign):
@@ -161,8 +165,8 @@ class TestPointVector:
             n = rng.randint(2, 5)
             d = (0,) + tuple(rng.randint(0, 6) for _ in range(n - 1))
             a = base_matrix(d)
-            pres = from_presentation(identity_minus(a, transpose=True), (1,) * n)
-            assert pres.point == pres.group.zero()
+            group, point, _ = from_presentation(relation_matrix(a), (1,) * n)
+            assert point == group.zero()
 
     def test_every_element_gets_nonneg_representative(self):
         for factors in [(2, 4), (3, 9), (2, 12)]:
@@ -217,8 +221,8 @@ class TestTailExtension:
         group = FgAbelianGroup(0, (3,))
         u = group.element(torsion=(1,))
         b = tail_extension(a, point_vector(group, u, (0, 3)))
-        pres_b = from_presentation(identity_minus(b, transpose=True), (1,) * b.size)
-        assert pointed_is_isomorphic(PointedGroup(group, u), PointedGroup(pres_b.group, pres_b.point))
+        group_b, point_b, _ = from_presentation(relation_matrix(b), (1,) * b.size)
+        assert pointed_is_isomorphic(PointedGroup(group, u), PointedGroup(group_b, point_b))
 
     def test_preserves_determinant(self):
         rng = random.Random(77)
@@ -315,7 +319,7 @@ class TestRealize:
             snf.clear()
             matrix, plan = realize(group, group.element(free, torsion), sign)
             merged = column_amalgamation(matrix)
-            rest, _, _ = eliminate_unit_pivots(identity_minus(merged, transpose=True), (1,) * merged.size)
+            rest, _, _ = eliminate_unit_pivots(relation_matrix(merged), (1,) * merged.size)
             if group == FgAbelianGroup(0):
                 assert snf == [] and rest is None
                 continue
@@ -342,9 +346,10 @@ class TestRealize:
     @pytest.mark.parametrize(
         "rows, message",
         [
-            ([[1, 1], [0, 1]], "matrix is reducible"),
-            ([[0, 1], [1, 0]], "matrix is a permutation matrix"),
+            ([[1, 1], [0, 1]], "matrix is not classifiable: the transition graph is not strongly connected"),
+            ([[0, 1], [1, 0]], "matrix is not classifiable: permutation matrix: the shift space is finite"),
         ],
+        ids=["reducible", "permutation"],
     )
     def test_unclassifiable_result_fails_verification(self, monkeypatch, rows, message):
         monkeypatch.setattr(markovshift.realization, "edge_shift", lambda a: ZeroOneMatrix.from_rows(rows))
@@ -388,13 +393,13 @@ class TestCyclicBase:
         for m in range(2, 121):
             for sign in (-1, 1):
                 base, weights = cyclic_base(m, sign)
-                relation = identity_minus(base, transpose=True)
+                relation = relation_matrix(base)
                 unit = (0, 1) if weights[1] == 1 else (1, 0)
-                (g,) = from_presentation(relation, unit).point.torsion_coords
+                (g,) = from_presentation(relation, unit)[1].torsion_coords
                 for _ in range(5):
                     v = (rng.randint(-50, 50), rng.randint(-50, 50))
                     w = weights[0] * v[0] + weights[1] * v[1]
-                    assert from_presentation(relation, v).point.torsion_coords == ((w * g) % m,)
+                    assert from_presentation(relation, v)[1].torsion_coords == ((w * g) % m,)
 
     def test_tails_are_minimal(self):
         # brute force over every c no larger in sum than the box's far corner,
@@ -414,6 +419,29 @@ class TestCyclicBase:
                     c = cyclic_tails(m, (w1, w2), g % m, k1 + k2 - 1)
                     best = min(x for x in candidates if math.gcd(w1 * (1 + x[1]) + w2 * (1 + x[2]), m) == g)
                     assert (sum(c), *c) == best, (m, sign, g)
+
+    def test_tails_match_the_walk(self):
+        # the result depends on u only through gcd(u, m), so the divisors cover every point
+        for m in range(1, 301):
+            for sign in (-1, 1):
+                _, weights = cyclic_base(m, sign)
+                for u in (d for d in range(1, m + 1) if m % d == 0):
+                    for bound in (0, 3, 10, 10**6):
+                        want = cyclic_tails_by_walk(m, weights, u % m, bound)
+                        assert cyclic_tails(m, weights, u % m, bound) == want, (m, sign, u, bound)
+
+    def test_tails_of_the_point_zero_of_a_large_prime(self):
+        # the walk tests about m pairs before it reaches these tails
+        m = 1_000_003
+        for sign, want in ((-1, (0, 1000)), (1, (1000, 0))):
+            _, weights = cyclic_base(m, sign)
+            assert cyclic_tails_by_walk(m, weights, 0, 10**12) == want
+            assert cyclic_tails(m, weights, 0, 10**12) == want
+        m = 10**9 + 7
+        for sign, want in ((-1, (0, 31622)), (1, (31622, 0))):
+            start = time.perf_counter()
+            assert cyclic_tails(m, cyclic_base(m, sign)[1], 0, 10**12) == want
+            assert time.perf_counter() - start < 2
 
     def test_tails_search_only_the_given_sums(self):
         base, weights = cyclic_base(109, -1)
@@ -445,7 +473,7 @@ class TestCyclicBase:
                     matrix, plan = realize(group, point, sign)
                     diagonal = diagonal_states(group, point, sign)
                     assert matrix.size <= diagonal
-                    # a sum k costs k + 1 gcds, and each would end below the diagonal plan
+                    # every sum the search may take would end below the diagonal plan
                     assert all(cyclic_states + k < diagonal for k in chain.from_iterable(searched))
                     if m > 10**8:
                         assert plan.d_list == choose_shape(group, sign)

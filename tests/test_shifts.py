@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -6,22 +7,30 @@ import pytest
 from markovshift import (
     DomainError,
     NonNegMatrix,
+    PreconditionError,
     ShapeError,
     ZeroOneMatrix,
     admissible_words,
     count_period_points,
     edge_shift,
     higher_block,
-    identity_minus,
     is_cyclically_admissible,
     is_irreducible,
     lex_min_rotation,
     periodic_orbit_words,
+    relation_matrix,
     validate,
 )
-from markovshift.shifts import column_amalgamation
+from markovshift.shifts import classifiability_issue, column_amalgamation, require_classifiable
 
-from _support import allows, least_rotation_period, pairs_allowed, random_nonneg, random_zero_one
+from _support import (
+    allows,
+    identity_minus,
+    least_rotation_period,
+    pairs_allowed,
+    random_nonneg,
+    random_zero_one,
+)
 
 FULL2 = ZeroOneMatrix.from_rows([[1, 1], [1, 1]])
 GOLDEN = ZeroOneMatrix.from_rows([[1, 1], [1, 0]])
@@ -85,12 +94,12 @@ class TestMatrixTypes:
 
 class TestIdentityMinus:
     def test_entries_in_both_orientations(self):
+        # the library's id - A^t and the tests' id - A
         rng = random.Random(87)
         for _ in range(20):
             a = random_nonneg(rng, rng.randint(1, 6))
             n = a.size
-            for transpose in (False, True):
-                got = identity_minus(a, transpose=transpose)
+            for transpose, got in ((True, relation_matrix(a)), (False, identity_minus(a))):
                 assert got.entries == tuple(
                     tuple(int(i == j) - (a.entries[j][i] if transpose else a.entries[i][j]) for j in range(n))
                     for i in range(n)
@@ -252,6 +261,103 @@ class TestConditionI:
         for _ in range(20):
             m = random_zero_one(rng, 4)
             assert validate(m).classifiable == (not forced_path_exists(m))
+
+
+class TestClassifiability:
+    def test_issues_in_order(self):
+        cases = [
+            ([[1]], "too_small"),
+            ([[1, 1], [0, 1]], "reducible"),
+            ([[1, 0], [0, 1]], "reducible"),
+            (PERM, "condition_I"),
+            ([[2]], None),
+            ([[1, 1], [1, 0]], None),
+        ]
+        for rows, code in cases:
+            issue = classifiability_issue(NonNegMatrix.from_rows(rows))
+            assert (issue and issue.code) == code
+            assert [i.code for i in validate(rows).issues] == ([code] if code else [])
+
+    def test_require_classifiable_raises_the_issue(self):
+        for rows in ([[1]], [[1, 1], [0, 1]], PERM):
+            issue = classifiability_issue(NonNegMatrix.from_rows(rows))
+            with pytest.raises(PreconditionError) as raised:
+                require_classifiable(NonNegMatrix.from_rows(rows))
+            assert str(raised.value) == f"matrix is not classifiable: {issue.message}"
+        require_classifiable(GOLDEN)
+
+    def test_amalgamation_keeps_the_issue(self):
+        # merging equal columns is a conjugacy of matrices without zero rows or
+        # columns, so the issue is decided as well on the merged matrix
+        rng = random.Random(1973)
+        codes = Counter()
+        merged = 0
+        while sum(codes.values()) < 2400:
+            n = rng.randint(1, 7)
+            kind = rng.randrange(4)
+            if kind == 0:
+                # a permutation, irreducible only when it is one cycle
+                perm = rng.sample(range(n), n)
+                rows = [[int(j == perm[i]) for j in range(n)] for i in range(n)]
+            else:
+                top = rng.choice((1, 1, 3))
+                density = rng.uniform(0.15, 0.6)
+                rows = [[rng.randint(1, top) if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
+                if kind == 2 and n > 1:
+                    i, j = rng.sample(range(n), 2)
+                    for row in rows:
+                        row[i] = row[j]
+            if not (all(map(any, rows)) and all(map(any, zip(*rows)))):
+                continue
+            a = NonNegMatrix.from_rows(rows)
+            if kind == 3 and 2 <= sum(map(sum, rows)) <= 30:
+                a = edge_shift(a)
+            b = column_amalgamation(a)
+            issue_a, issue_b = classifiability_issue(a), classifiability_issue(b)
+            assert (issue_a and issue_a.code) == (issue_b and issue_b.code), rows
+            codes[issue_a and issue_a.code] += 1
+            merged += b.size < a.size
+        assert min(codes[code] for code in ("reducible", "condition_I", None)) >= 200
+        assert codes["too_small"] > 0
+        assert merged >= 600
+
+
+class TestIntegerArguments:
+    # a bool is not read as 1 and a float is refused, never truncated
+
+    def test_period_bound(self):
+        for bad in (2.0, True):
+            with pytest.raises(ShapeError, match=f"period bound {bad!r} is not an integer"):
+                periodic_orbit_words(FULL2, bad)
+
+    def test_period(self):
+        for bad in (2.0, True):
+            with pytest.raises(ShapeError, match=f"period {bad!r} is not an integer"):
+                count_period_points(FULL2, bad)
+
+    def test_word_length(self):
+        for bad in (2.0, True):
+            with pytest.raises(ShapeError, match=f"word length {bad!r} is not an integer"):
+                admissible_words(FULL2, bad)
+
+    def test_block_length(self):
+        for bad in (2.0, True):
+            with pytest.raises(ShapeError, match=f"word length {bad!r} is not an integer"):
+                higher_block(FULL2, bad)
+
+
+class TestRandomMatrices:
+    def test_impossible_sizes_raise(self):
+        rng = random.Random(5)
+        for n in (0, 1):
+            with pytest.raises(ValueError):
+                random_zero_one(rng, n)
+        with pytest.raises(ValueError):
+            random_nonneg(rng, 1, max_entry=1)
+        with pytest.raises(ValueError):
+            random_nonneg(rng, 0)
+        assert random_nonneg(rng, 1, max_entry=2).entries == ((2,),)
+        assert random_zero_one(rng, 2).size == 2
 
 
 class TestWords:
