@@ -32,11 +32,18 @@ from .fileio import (
     write_matrix_file,
 )
 from .groups import FgAbelianGroup
-from .invariants import decide_coe, decide_flow, full_group_abelianization, invariant_triple
+from .invariants import (
+    MarkovInvariant,
+    decide_coe,
+    decide_flow,
+    full_group_abelianization,
+    invariant_triple,
+)
 from .realization import realize
 from .shifts import (
     ZeroOneMatrix,
     periodic_orbit_words,
+    require_classifiable,
     validate,
 )
 
@@ -57,23 +64,37 @@ def _echo_matrix(path, rows) -> dict:
     return {"path": str(path), "size": len(rows), "rows": [list(r) for r in rows]}
 
 
-def _load_matrix(path):
+def _read_matrix(path):
+    """The typed matrix of a file and its echo; a zero row or column gets validate's report."""
     rows = read_matrix_rows(path)
     # parsed rows are square with nonnegative integer entries, so the matrix
     # is refused only for a zero row or column, which validate then names
     try:
         matrix = matrix_from_rows(rows)
     except DomainError:
-        matrix = None
-    diagnostics = validate(rows if matrix is None else matrix)
-    if not diagnostics.classifiable:
-        details = "; ".join(issue.message for issue in diagnostics.issues)
-        raise _InvalidInput(f"{path}: matrix is not classifiable: {details}")
+        details = "; ".join(issue.message for issue in validate(rows).issues)
+        raise _InvalidInput(f"{path}: matrix is not classifiable: {details}") from None
     return matrix, _echo_matrix(path, rows)
 
 
+def _checked(path, check, matrix):
+    """check(matrix), with a PreconditionError reported against the file."""
+    try:
+        return check(matrix)
+    except PreconditionError as exc:
+        raise _InvalidInput(f"{path}: {exc}") from None
+
+
+def _load_invariant(path) -> tuple[MarkovInvariant, dict]:
+    # invariant_triple checks its merged matrix, which is classifiable
+    # exactly when the file's matrix is, with the same message
+    matrix, echo = _read_matrix(path)
+    return _checked(path, invariant_triple, matrix), echo
+
+
 def _load_zero_one(path) -> tuple[ZeroOneMatrix, dict]:
-    matrix, echo = _load_matrix(path)
+    matrix, echo = _read_matrix(path)
+    _checked(path, require_classifiable, matrix)
     if not isinstance(matrix, ZeroOneMatrix):
         raise _InvalidInput(f"{path}: this command needs a 0/1 transition matrix")
     return matrix, echo
@@ -96,8 +117,7 @@ def _cmd_validate(args) -> tuple[dict, int]:
 
 
 def _cmd_invariant(args) -> tuple[dict, int]:
-    matrix, echo = _load_matrix(args.matrix)
-    inv = invariant_triple(matrix)
+    inv, echo = _load_invariant(args.matrix)
     abelianized = full_group_abelianization(inv)
     report = {
         "command": "invariant",
@@ -129,17 +149,19 @@ def _decision_report(name, echo_a, echo_b, outcome) -> dict:
 
 
 def _cmd_coe(args) -> tuple[dict, int]:
-    matrix_a, echo_a = _load_matrix(args.matrix_a)
-    matrix_b, echo_b = _load_matrix(args.matrix_b)
-    outcome = decide_coe(matrix_a, matrix_b)
+    # A's invariant comes first, so a bad A is reported before B is read
+    left, echo_a = _load_invariant(args.matrix_a)
+    right, echo_b = _load_invariant(args.matrix_b)
+    outcome = decide_coe(left, right)
     report = _decision_report("coe", echo_a, echo_b, outcome)
     return report, EXIT_OK if outcome.equivalent else EXIT_NEGATIVE
 
 
 def _cmd_flow(args) -> tuple[dict, int]:
-    matrix_a, echo_a = _load_matrix(args.matrix_a)
-    matrix_b, echo_b = _load_matrix(args.matrix_b)
-    outcome = decide_flow(matrix_a, matrix_b)
+    # A's invariant comes first, so a bad A is reported before B is read
+    left, echo_a = _load_invariant(args.matrix_a)
+    right, echo_b = _load_invariant(args.matrix_b)
+    outcome = decide_flow(left, right)
     report = _decision_report("flow", echo_a, echo_b, outcome)
     return report, EXIT_OK if outcome.equivalent else EXIT_NEGATIVE
 

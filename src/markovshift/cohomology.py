@@ -68,22 +68,32 @@ class LocallyConstantFn:
 
 
 def orbit_sum(a: ZeroOneMatrix, fn: LocallyConstantFn, cycle: Sequence[int]) -> int:
-    """Sum of the function over one period of the periodic point cycle^inf."""
+    """Sum of the function over one period of the periodic point cycle^inf.
+
+    Window i of the cycle c is (c[i], ..., c[i + k - 1]), indices taken mod
+    n.  Zipping c with the slices of the extended cycle that start at
+    1, ..., k - 1 lists the n windows in order, so one ``map`` looks them
+    all up, and a missing window is reported first to last.
+    """
     c = tuple(cycle)
     if not is_cyclically_admissible(a, c):
         raise InadmissibleWordError(f"cycle {c} is not cyclically admissible")
     n = len(c)
     k = fn.window
-    # enough copies of the cycle that each of its n windows is one slice
+    # enough copies of the cycle that each of the k slices holds n symbols
     ext = c * ((n + k - 2) // n + 1)
-    values = fn.values
-    total = 0
+    # on short cycles a comprehension costs as much as the lookups, so the
+    # usual windows 1 and 2 are zipped without one
+    if k == 1:
+        windows = zip(c)
+    elif k == 2:
+        windows = zip(c, ext[1 : n + 1])
+    else:
+        windows = zip(c, *[ext[j : j + n] for j in range(1, k)])
     try:
-        for i in range(n):
-            total += values[ext[i : i + k]]
+        return sum(map(fn.values.__getitem__, windows))
     except KeyError as exc:
         raise DomainError(f"function is not defined on word {exc.args[0]}") from None
-    return total
 
 
 @dataclass(frozen=True)
@@ -98,38 +108,50 @@ class PositivityResult:
 def _negative_cycle(adj: list[list[int]], weight: list[int]) -> list[int] | None:
     """A negative-total cycle of the graph, or None when there is none.
 
-    Bellman-Ford style relaxation from an all-zero potential; an update
-    surviving len(adj) full rounds certifies a negative cycle, which is
-    then read off the predecessor chain.
+    Bellman-Ford relaxation from an all-zero potential, where edge u -> v
+    weighs weight[u].  A round with no update certifies that no cycle is
+    negative.  After each round that updates, the predecessor links of the
+    updated nodes are walked, and the first cycle among them is returned:
+    each link was set when it lowered its node's distance, so around a
+    cycle of links the weights sum below zero (Cherkassky & Goldberg 1999).
+    A negative cycle keeps every round updating, and after at most
+    len(adj) + 1 rounds the links hold a cycle, so the search ends.
     """
     n = len(adj)
     dist = [0] * n
-    pred: dict[int, int] = {}
+    pred = [-1] * n
+    # seen[v] is the number of the last walk that passed v; walks of earlier rounds are stale
+    seen = [-1] * n
+    walks = 0
     edges = [(u, v) for u in range(n) for v in adj[u]]
-    last_updated = None
     for _ in range(n + 1):
-        last_updated = None
+        updated = []
         for u, v in edges:
             candidate = dist[u] + weight[u]
             if candidate < dist[v]:
                 dist[v] = candidate
                 pred[v] = u
-                last_updated = v
-        if last_updated is None:
+                updated.append(v)
+        if not updated:
             return None
-    try:
-        node = last_updated
-        for _ in range(n):
-            node = pred[node]
-        cycle = [node]
-        walk = pred[node]
-        while walk != node:
-            cycle.append(walk)
-            walk = pred[walk]
-    except KeyError:
-        raise VerificationError("relaxation reported a negative cycle but left no trail") from None
-    cycle.reverse()
-    return cycle
+        first_walk = walks
+        for start in updated:
+            walk = walks
+            walks += 1
+            node = start
+            # stop at a node without a link, or one an earlier walk of this round passed
+            while node >= 0 and seen[node] < first_walk:
+                seen[node] = walk
+                node = pred[node]
+            if node >= 0 and seen[node] == walk:
+                cycle = [node]
+                back = pred[node]
+                while back != node:
+                    cycle.append(back)
+                    back = pred[back]
+                cycle.reverse()
+                return cycle
+    raise VerificationError("relaxation reported a negative cycle but left no trail")
 
 
 def is_positive_class(a: ZeroOneMatrix, fn: LocallyConstantFn) -> PositivityResult:
@@ -140,8 +162,11 @@ def is_positive_class(a: ZeroOneMatrix, fn: LocallyConstantFn) -> PositivityResu
     k-block graph whose edges are weighted by the value at the source
     block, so the decision is one negative-cycle search over that graph.
     One search is enough: A is irreducible, so its k-block graph is
-    strongly connected and holds every cycle in one component.  A negative
-    verdict returns a witness cyclic word.
+    strongly connected and holds every cycle in one component.  The search
+    stops at the first cycle among its predecessor links, which is negative
+    (``_negative_cycle``).  A negative verdict returns the least rotation of
+    that cycle's word as a witness, after ``orbit_sum`` has recomputed its
+    total as negative.
     """
     require_classifiable(a)
     words, successors = block_graph(a, fn.window)

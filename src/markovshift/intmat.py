@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress
 from math import prod
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import ShapeError
@@ -81,10 +82,7 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        cols = tuple(zip(*other.entries))
-        return IntMatrix(
-            tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.entries)
-        )
+        return IntMatrix(_product(self.entries, other.entries))
 
     def trace(self) -> int:
         if not self.is_square:
@@ -93,6 +91,12 @@ class IntMatrix:
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
+
+
+def _product(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The product of two matrices given as entry tuples; shapes are not checked."""
+    cols = tuple(zip(*y))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in x)
 
 
 # An elementary row operation is recorded as (kind, i, j, q): _SWAP exchanges

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, compress
+from operator import mul
 from typing import Iterable
 
 from .errors import DomainError, PreconditionError, ShapeError
-from .intmat import IntMatrix, _check_ints, _is_int
+from .intmat import IntMatrix, _check_ints, _is_int, _product
 
 
 @dataclass(frozen=True)
@@ -295,17 +296,28 @@ def periodic_orbit_words(a: ZeroOneMatrix, max_period: int) -> list[tuple[int, .
 
 
 def count_period_points(a: ZeroOneMatrix, p: int) -> int:
-    """Number of points fixed by the p-th shift power: trace of A^p, by repeated squaring."""
+    """Number of points fixed by the p-th shift power: trace of A^p, by repeated squaring.
+
+    A^p is the product of the squares A^(2^i) over the set bits i of p.  The
+    powers stay plain entry tuples, multiplied by ``intmat._product``, and
+    the last product X Y is never built: its trace is the sum over i and k
+    of X[i][k] Y[k][i].
+    """
     _check_count("period", p)
-    square = a.as_int_matrix()
+    square = a.entries
     power = None
-    while True:
+    while p > 1:
         if p & 1:
-            power = square if power is None else power @ square
+            power = square if power is None else _product(power, square)
         p >>= 1
-        if not p:
-            return power.trace()
-        square = square @ square
+        if p == 1 and power is None:
+            # p is a power of two, and A^p is the square times itself
+            power = square
+        else:
+            square = _product(square, square)
+    if power is None:
+        return sum(row[i] for i, row in enumerate(square))
+    return sum(sum(map(mul, row, col)) for row, col in zip(power, zip(*square)))
 
 
 # ---------------------------------------------------------------------------

@@ -564,3 +564,52 @@ def pointed_by_factoring(a: PointedGroup, b: PointedGroup, factorize=prime_facto
     return prime_orbit_profile(factors, a.point.torsion_coords, d, factorize) == prime_orbit_profile(
         factors, b.point.torsion_coords, d, factorize
     )
+
+
+def negative_cycle_full_rounds(adj: list[list[int]], weight: list[int]) -> list[int] | None:
+    """Negative-cycle oracle: Bellman-Ford that runs all len(adj) + 1 rounds before it reads a cycle.
+
+    Edge u -> v weighs weight[u].  An update that survives len(adj) full
+    rounds certifies a negative cycle, read off the predecessor chain of
+    the node updated last after walking len(adj) steps back.
+    """
+    n = len(adj)
+    dist = [0] * n
+    pred: dict[int, int] = {}
+    edges = [(u, v) for u in range(n) for v in adj[u]]
+    last_updated = None
+    for _ in range(n + 1):
+        last_updated = None
+        for u, v in edges:
+            candidate = dist[u] + weight[u]
+            if candidate < dist[v]:
+                dist[v] = candidate
+                pred[v] = u
+                last_updated = v
+        if last_updated is None:
+            return None
+    node = last_updated
+    for _ in range(n):
+        node = pred[node]
+    cycle = [node]
+    walk = pred[node]
+    while walk != node:
+        cycle.append(walk)
+        walk = pred[walk]
+    cycle.reverse()
+    return cycle
+
+
+def matrix_product_by_loops(x: IntMatrix, y: IntMatrix) -> IntMatrix:
+    """Product oracle: the textbook triple loop over rows, columns and the inner index."""
+    assert x.cols == y.rows
+    out = []
+    for i in range(x.rows):
+        row = []
+        for j in range(y.cols):
+            total = 0
+            for k in range(x.cols):
+                total += x.entries[i][k] * y.entries[k][j]
+            row.append(total)
+        out.append(tuple(row))
+    return IntMatrix(tuple(out))

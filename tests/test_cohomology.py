@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -9,14 +10,25 @@ from markovshift import (
     LocallyConstantFn,
     PreconditionError,
     ShapeError,
+    VerificationError,
     ZeroOneMatrix,
     admissible_words,
     is_positive_class,
     orbit_sum,
     periodic_orbit_words,
 )
+from markovshift import cohomology
+from markovshift.cohomology import _negative_cycle
+from markovshift.shifts import block_graph
 
-from _support import attracting_weight, coboundary, constant_fn, naive_orbit_sum, random_zero_one
+from _support import (
+    attracting_weight,
+    coboundary,
+    constant_fn,
+    naive_orbit_sum,
+    negative_cycle_full_rounds,
+    random_zero_one,
+)
 
 FULL2 = ZeroOneMatrix.from_rows([[1, 1], [1, 1]])
 SIGN_FN = LocallyConstantFn.over(FULL2, 1, {(1,): 1, (2,): -1})
@@ -230,3 +242,80 @@ class TestIsPositiveClass:
                 }
                 shifted = LocallyConstantFn.over(m, width, lifted)
                 assert is_positive_class(m, shifted).positive == base
+
+
+def random_block_graphs(seed: int, count: int):
+    """Seeded k-block graphs of random matrices, k = 1..3, with weights that are negative on about a third of the nodes."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = random_zero_one(rng, rng.randint(2, 6), density=rng.choice((0.3, 0.5, 0.7)))
+        words, successors = block_graph(m, rng.randint(1, 3))
+        yield successors, [rng.randint(-3, 6) for _ in words]
+
+
+class TestNegativeCycleSearch:
+    """The search that stops at the first predecessor cycle, against the one that runs every round."""
+
+    def test_verdicts_agree_with_the_full_rounds(self):
+        verdicts = Counter()
+        for adj, weight in random_block_graphs(2024, 400):
+            found = _negative_cycle(adj, weight) is not None
+            assert found == (negative_cycle_full_rounds(adj, weight) is not None)
+            verdicts[found] += 1
+        # both verdicts are well represented
+        assert min(verdicts[True], verdicts[False]) > 50
+
+    def test_returned_cycles_are_negative_cycles_of_the_graph(self):
+        for adj, weight in random_block_graphs(2025, 400):
+            cycle = _negative_cycle(adj, weight)
+            if cycle is None:
+                continue
+            assert len(set(cycle)) == len(cycle)
+            for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+                assert v in adj[u]
+            assert sum(weight[u] for u in cycle) < 0
+
+    def test_stops_in_the_round_the_cycle_forms(self):
+        # a ring of 200 nodes with a loop at node 150; nodes 9 and 150 weigh
+        # -1, so the only negative cycle is the loop.  The first round
+        # updates node 10, whose links lead to no cycle, and then closes the
+        # loop, so the search reads each edge's weight once and stops
+        class CountingWeights(list):
+            reads = 0
+
+            def __getitem__(self, i):
+                self.reads += 1
+                return super().__getitem__(i)
+
+        adj = [[(u + 1) % 200] for u in range(200)]
+        adj[150].append(150)
+        weight = CountingWeights([1] * 200)
+        weight[9] = weight[150] = -1
+        assert _negative_cycle(adj, weight) == [150]
+        assert weight.reads == 201
+        assert negative_cycle_full_rounds(adj, list(weight)) == [150]
+
+    def test_a_nonnegative_cycle_fails_the_recomputation(self, monkeypatch):
+        # node 0 is the word (1,), whose fixed point sums to +1
+        monkeypatch.setattr(cohomology, "_negative_cycle", lambda adj, weight: [0])
+        with pytest.raises(VerificationError, match="^negative-cycle witness failed its recomputation$"):
+            is_positive_class(FULL2, SIGN_FN)
+
+    def test_witness_recomputed_on_random_classes(self, monkeypatch):
+        calls = []
+
+        def recording(a, fn, cycle):
+            calls.append(tuple(cycle))
+            return orbit_sum(a, fn, cycle)
+
+        monkeypatch.setattr(cohomology, "orbit_sum", recording)
+        rng = random.Random(77)
+        negatives = 0
+        for _ in range(60):
+            m = random_zero_one(rng, rng.randint(2, 5))
+            fn = random_fn(rng, m, rng.randint(1, 3))
+            calls.clear()
+            result = is_positive_class(m, fn)
+            assert calls == ([] if result.positive else [result.witness])
+            negatives += not result.positive
+        assert negatives > 10

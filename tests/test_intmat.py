@@ -19,6 +19,7 @@ from _support import (
     cofactor_determinant,
     identity,
     kernel_basis,
+    matrix_product_by_loops,
     mul_vector,
     random_int_matrix,
     random_zero_one,
@@ -87,6 +88,26 @@ class TestFromRows:
         for bad in (True, 2.0, "3"):
             with pytest.raises(ShapeError, match=f"matrix entry {bad!r} is not an integer"):
                 IntMatrix.from_rows([[1, 0], [0, bad]])
+
+
+class TestProduct:
+    def test_matches_the_triple_loop(self):
+        rng = random.Random(515)
+        for _ in range(60):
+            r, k, c = (rng.randint(1, 7) for _ in range(3))
+            bits = rng.choice((4, 100, 160))
+            x, y = (
+                IntMatrix.from_rows([[rng.randint(-(2**bits), 2**bits) for _ in range(cols)] for _ in range(rows)])
+                for rows, cols in ((r, k), (k, c))
+            )
+            assert x @ y == matrix_product_by_loops(x, y)
+
+    def test_shape_mismatch_message(self):
+        x = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+        with pytest.raises(ShapeError, match=r"^cannot multiply 2x3 by 2x3$"):
+            x @ x
+        with pytest.raises(ShapeError, match=r"^cannot multiply 3x2 by 3x2$"):
+            x.transpose() @ x.transpose()
 
 
 class TestSmithNormalForm:

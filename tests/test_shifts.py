@@ -426,6 +426,18 @@ class TestPeriodicOrbits:
                 assert lex_min_rotation(w) == w
                 assert least_rotation_period(w) == len(w)
 
+    def test_long_cycles_need_no_deep_recursion(self):
+        # 1,050 states in a cycle, with a chord from the last state back to
+        # state 2: its two simple cycles are words of 1,049 and 1,050 symbols,
+        # far deeper than a recursive walk may go
+        n = 1050
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][(i + 1) % n] = 1
+        rows[n - 1][1] = 1
+        words = periodic_orbit_words(ZeroOneMatrix.from_rows(rows), n)
+        assert words == [tuple(range(2, n + 1)), tuple(range(1, n + 1))]
+
     def test_counts(self):
         assert count_period_points(FULL2, 2) == 4
         assert count_period_points(GOLDEN, 1) == 1
@@ -444,6 +456,19 @@ class TestPeriodicOrbits:
                 for p in range(1, 41):
                     assert count_period_points(m, p) == power.trace()
                     power = power @ m.as_int_matrix()
+
+    def test_counts_at_powers_of_two_and_one_below(self):
+        # p = 2^k squares only, and its last product is the trace-only one;
+        # p = 2^k - 1 multiplies in every square
+        rng = random.Random(4141)
+        for size in (7, 8):
+            m = random_zero_one(rng, size, density=0.4)
+            powers = [m.as_int_matrix()]
+            for _ in range(63):
+                powers.append(powers[-1] @ m.as_int_matrix())
+            for k in range(7):
+                for p in {2**k, 2**k - 1} - {0}:
+                    assert count_period_points(m, p) == powers[p - 1].trace()
 
     def test_trace_equals_weighted_orbit_count(self):
         rng = random.Random(23)
