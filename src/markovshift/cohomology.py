@@ -10,9 +10,9 @@ the class; the search returns a violating cyclic word as a witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
+from ._value import frozen
 from .errors import DomainError, InadmissibleWordError, VerificationError
 from .intmat import _check_ints
 from .shifts import (
@@ -26,7 +26,7 @@ from .shifts import (
 )
 
 
-@dataclass(frozen=True)
+@frozen
 class LocallyConstantFn:
     """Integer function on the shift space depending on a fixed window."""
 
@@ -96,7 +96,7 @@ def orbit_sum(a: ZeroOneMatrix, fn: LocallyConstantFn, cycle: Sequence[int]) -> 
         raise DomainError(f"function is not defined on word {exc.args[0]}") from None
 
 
-@dataclass(frozen=True)
+@frozen
 class PositivityResult:
     positive: bool
     witness: tuple[int, ...] | None

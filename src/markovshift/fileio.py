@@ -8,8 +8,6 @@ Everything after ``#`` on a line is a comment.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from .cohomology import LocallyConstantFn
 from .errors import ParseError
 from .shifts import NonNegMatrix, ZeroOneMatrix
@@ -17,7 +15,8 @@ from .shifts import NonNegMatrix, ZeroOneMatrix
 
 def _read_text(path) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: byte {exc.start} cannot be decoded") from None
 
@@ -55,7 +54,9 @@ def parse_matrix_rows(text: str) -> list[list[int]]:
             raise ParseError(f"row is not a list of integers: {body!r}", lineno) from None
         if len(row) != n:
             raise ParseError(f"expected {n} entries, found {len(row)}", lineno)
-        if min(row) < 0:
+        # int() reads a sign only as an ASCII "-" or "+", so a row without
+        # "-" holds no negative entry
+        if "-" in body and min(row) < 0:
             raise ParseError("matrix entries must be nonnegative", lineno)
         rows.append(row)
     return rows
@@ -80,7 +81,8 @@ def format_matrix(matrix) -> str:
 
 
 def write_matrix_file(path, matrix) -> None:
-    Path(path).write_text(format_matrix(matrix), encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(format_matrix(matrix))
 
 
 def format_words(words, alphabet_size: int) -> list[str]:

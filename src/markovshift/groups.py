@@ -19,38 +19,42 @@ factoring.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from itertools import chain
-from typing import Sequence
 
+from ._value import frozen
 from .errors import DomainError, ShapeError
 from .intmat import IntMatrix, _check_ints, _is_int, eliminate_unit_pivots, smith_normal_form
 
 INFINITE = math.inf
 
 
-@dataclass(frozen=True)
+@frozen
 class GroupElement:
     """Coordinates of a group element: free part, then torsion part."""
 
-    free_coords: tuple[int, ...] = ()
-    torsion_coords: tuple[int, ...] = ()
+    free_coords: tuple[int, ...]
+    torsion_coords: tuple[int, ...]
+
+    def __init__(self, free_coords: tuple[int, ...] = (), torsion_coords: tuple[int, ...] = ()):
+        object.__setattr__(self, "free_coords", free_coords)
+        object.__setattr__(self, "torsion_coords", torsion_coords)
 
 
-@dataclass(frozen=True)
+@frozen
 class FgAbelianGroup:
     """Finitely generated abelian group Z^r x Z/m1 x ... x Z/mk."""
 
     free_rank: int
-    torsion_factors: tuple[int, ...] = ()
+    torsion_factors: tuple[int, ...]
 
-    def __post_init__(self):
-        _check_ints("free rank", (self.free_rank,))
-        _check_ints("torsion factor", self.torsion_factors)
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int, torsion_factors: tuple[int, ...] = ()):
+        _check_ints("free rank", (free_rank,))
+        _check_ints("torsion factor", torsion_factors)
+        if free_rank < 0:
             raise DomainError("free rank must be nonnegative")
         prev = 1
-        for m in self.torsion_factors:
+        for m in torsion_factors:
             if m < 2:
                 raise DomainError(f"torsion factor {m} is not allowed; factors must be >= 2")
             if m % prev != 0:
@@ -58,6 +62,8 @@ class FgAbelianGroup:
                     f"torsion factors must form a divisibility chain; {prev} does not divide {m}"
                 )
             prev = m
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion_factors", torsion_factors)
 
     @property
     def is_finite(self) -> bool:
@@ -103,7 +109,7 @@ class FgAbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
+@frozen
 class PointedGroup:
     """A group together with a distinguished element of it."""
 

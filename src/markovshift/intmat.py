@@ -17,13 +17,13 @@ result; the docstring of ``smith_normal_form`` says why.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from itertools import chain, compress
 from math import prod
 from operator import mul
-from typing import Iterable, Sequence
 
+from ._value import frozen
 from .errors import ShapeError
 
 
@@ -43,19 +43,20 @@ def _check_ints(what: str, values: Iterable) -> None:
             raise ShapeError(f"{what} {x!r} is not an integer")
 
 
-@dataclass(frozen=True)
+@frozen
 class IntMatrix:
     """Immutable integer matrix stored row-major."""
 
     entries: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        if not self.entries or not self.entries[0]:
+    def __init__(self, entries: tuple[tuple[int, ...], ...]):
+        if not entries or not entries[0]:
             raise ShapeError("matrix needs at least one row and one column")
-        width = len(self.entries[0])
-        for row in self.entries:
+        width = len(entries[0])
+        for row in entries:
             if len(row) != width:
                 raise ShapeError("all rows must have the same length")
+        object.__setattr__(self, "entries", entries)
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[int]]) -> "IntMatrix":
@@ -122,7 +123,7 @@ def _transform_matrix(ops, n: int, inverse: bool) -> IntMatrix:
     return IntMatrix(tuple(zip(*cols)))
 
 
-@dataclass(frozen=True)
+@frozen
 class SnfResult:
     """Smith normal form D = U @ M @ V of an integer matrix M.
 

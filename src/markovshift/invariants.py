@@ -11,8 +11,7 @@ decides flow equivalence of the two-sided shifts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._value import frozen
 from .errors import VerificationError
 from .groups import (
     FgAbelianGroup,
@@ -25,7 +24,7 @@ from .groups import (
 from .shifts import NonNegMatrix, column_amalgamation, relation_matrix, require_classifiable
 
 
-@dataclass(frozen=True)
+@frozen
 class MarkovInvariant:
     """Invariant triple (group, point, sign) plus its derived data."""
 
@@ -84,7 +83,7 @@ def invariant_triple(a: NonNegMatrix) -> MarkovInvariant:
     b = column_amalgamation(a)
     require_classifiable(b)
     group, point, det_value = from_presentation(relation_matrix(b), (1,) * b.size)
-    return MarkovInvariant(group=group, point=point, det_value=det_value)
+    return MarkovInvariant(group, point, det_value)
 
 
 def _as_invariant(a) -> MarkovInvariant:
@@ -102,7 +101,7 @@ def full_group_abelianization(a) -> FgAbelianGroup:
     return FgAbelianGroup(inv.k1_rank, tensor_z2(inv.group).torsion_factors)
 
 
-@dataclass(frozen=True)
+@frozen
 class EquivalenceDecision:
     """Outcome of an equivalence test with a machine-checkable certificate."""
 

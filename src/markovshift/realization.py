@@ -26,9 +26,9 @@ the one Smith form of a realization, runs at the smaller size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain, count
 
+from ._value import frozen
 from .errors import PreconditionError, ShapeError, VerificationError
 from .groups import (
     FgAbelianGroup,
@@ -41,7 +41,7 @@ from .invariants import MarkovInvariant, invariant_triple
 from .shifts import NonNegMatrix, ZeroOneMatrix, edge_shift
 
 
-@dataclass(frozen=True)
+@frozen
 class RealizationPlan:
     """Audit trail of a realization: parameters and every intermediate matrix.
 

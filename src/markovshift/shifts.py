@@ -9,16 +9,16 @@ a nonnegative matrix, and higher-block recodings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from itertools import chain, compress
 from operator import mul
-from typing import Iterable
 
+from ._value import frozen
 from .errors import DomainError, PreconditionError, ShapeError
 from .intmat import IntMatrix, _check_ints, _is_int, _product
 
 
-@dataclass(frozen=True)
+@frozen
 class NonNegMatrix:
     """Square matrix over the nonnegative integers, no zero row or column."""
 
@@ -80,7 +80,7 @@ class NonNegMatrix:
         return IntMatrix(self.entries)
 
 
-@dataclass(frozen=True)
+@frozen
 class ZeroOneMatrix(NonNegMatrix):
     """Transition matrix with entries in {0, 1} and at least two states."""
 
@@ -176,13 +176,13 @@ def is_permutation_matrix(a: NonNegMatrix) -> bool:
     return all(sum(row) == 1 for row in a.entries) and all(sum(col) == 1 for col in zip(*a.entries))
 
 
-@dataclass(frozen=True)
+@frozen
 class Issue:
     code: str
     message: str
 
 
-@dataclass(frozen=True)
+@frozen
 class Diagnostics:
     issues: tuple[Issue, ...]
 

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import subprocess
 import sys
@@ -430,6 +431,25 @@ class TestErrorReports:
         monkeypatch.setattr(markovshift.cli, "realize", interrupted)
         with pytest.raises(KeyboardInterrupt):
             main(["realize", "--torsion", "4", "--point", "1", "--sign", "-1", "--json"])
+
+
+class TestStartUp:
+    def test_cli_import_is_lean(self):
+        """Every command pays the package import; it loads none of these.
+
+        ``-S`` skips site, whose ``.pth`` files may load some of them first.
+        """
+        heavy = ("dataclasses", "inspect", "ast", "typing", "pathlib")
+        probe = f"import markovshift.cli, sys; print(sorted(set({heavy!r}) & set(sys.modules)))"
+        src = os.path.dirname(os.path.dirname(markovshift.cli.__file__))
+        out = subprocess.run(
+            [sys.executable, "-S", "-c", probe],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "[]\n"
 
 
 class TestGlobalFlags:

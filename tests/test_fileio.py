@@ -43,6 +43,15 @@ class TestMatrixParsing:
         with pytest.raises(ParseError):
             parse_matrix_rows("2\n1 -1\n1 1\n")
 
+    def test_negative_entry_on_last_row(self):
+        with pytest.raises(ParseError) as info:
+            parse_matrix_rows("3\n1 1 0\n0 1 1\n1 0 -2  # last\n")
+        assert info.value.line == 4
+        assert str(info.value) == "line 4: matrix entries must be nonnegative"
+
+    def test_signed_zero_and_plus_sign(self):
+        assert parse_matrix_rows("2\n-0 +1\n1 +0\n") == [[0, 1], [1, 0]]
+
     def test_empty(self):
         with pytest.raises(ParseError):
             parse_matrix_rows("# nothing here\n")
