@@ -60,6 +60,22 @@ class _InvalidInput(MarkovShiftError):
     pass
 
 
+# the decision and title of the two equivalence commands
+_DECISIONS = {
+    "coe": (decide_coe, "continuous orbit equivalence"),
+    "flow": (decide_flow, "flow equivalence"),
+}
+
+# the report kind and exit code of each expected failure, first match wins;
+# any other exception is a bug and also prints its traceback
+_FAILURES = (
+    (ParseError, "parse_error", EXIT_INVALID),
+    ((_InvalidInput, PreconditionError, ShapeError, DomainError), "invalid_input", EXIT_INVALID),
+    (OSError, "io_error", EXIT_ERROR),
+    (VerificationError, "internal_error", EXIT_ERROR),
+)
+
+
 def _echo_matrix(path, rows) -> dict:
     return {"path": str(path), "size": len(rows), "rows": [list(r) for r in rows]}
 
@@ -137,32 +153,19 @@ def _cmd_invariant(args) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
-def _decision_report(name, echo_a, echo_b, outcome) -> dict:
-    return {
-        "command": name,
+def _cmd_decide(args) -> tuple[dict, int]:
+    # A's invariant comes first, so a bad A is reported before B is read
+    left, echo_a = _load_invariant(args.matrix_a)
+    right, echo_b = _load_invariant(args.matrix_b)
+    outcome = args.decide(left, right)
+    report = {
+        "command": args.subcommand,
         "inputs": {"matrix_a": echo_a, "matrix_b": echo_b},
         "convention": _CONVENTION,
         "equivalent": outcome.equivalent,
         "reason": outcome.reason,
         "certificate": outcome.certificate(),
     }
-
-
-def _cmd_coe(args) -> tuple[dict, int]:
-    # A's invariant comes first, so a bad A is reported before B is read
-    left, echo_a = _load_invariant(args.matrix_a)
-    right, echo_b = _load_invariant(args.matrix_b)
-    outcome = decide_coe(left, right)
-    report = _decision_report("coe", echo_a, echo_b, outcome)
-    return report, EXIT_OK if outcome.equivalent else EXIT_NEGATIVE
-
-
-def _cmd_flow(args) -> tuple[dict, int]:
-    # A's invariant comes first, so a bad A is reported before B is read
-    left, echo_a = _load_invariant(args.matrix_a)
-    right, echo_b = _load_invariant(args.matrix_b)
-    outcome = decide_flow(left, right)
-    report = _decision_report("flow", echo_a, echo_b, outcome)
     return report, EXIT_OK if outcome.equivalent else EXIT_NEGATIVE
 
 
@@ -177,10 +180,7 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 
 def _cmd_realize(args) -> tuple[dict, int]:
     torsion = _parse_int_list(args.torsion, "--torsion")
-    try:
-        group = FgAbelianGroup(args.free_rank, tuple(torsion))
-    except (DomainError, ShapeError) as exc:
-        raise _InvalidInput(str(exc)) from None
+    group = FgAbelianGroup(args.free_rank, tuple(torsion))
     coords = _parse_int_list(args.point, "--point")
     expected = group.free_rank + len(group.torsion_factors)
     if not coords:
@@ -190,10 +190,7 @@ def _cmd_realize(args) -> tuple[dict, int]:
             f"--point needs {expected} coordinates (free then torsion), got {len(coords)}"
         )
     point = group.element(coords[: group.free_rank], coords[group.free_rank :])
-    try:
-        matrix, plan = realize(group, point, args.sign)
-    except PreconditionError as exc:
-        raise _InvalidInput(str(exc)) from None
+    matrix, plan = realize(group, point, args.sign)
     if args.output:
         write_matrix_file(args.output, matrix)
     report = {
@@ -245,31 +242,25 @@ def _cmd_positivity(args) -> tuple[dict, int]:
 
 def _cmd_periodic(args) -> tuple[dict, int]:
     matrix, echo = _load_zero_one(args.matrix)
-    if args.period < 1:
-        raise _InvalidInput("period bound must be at least 1")
     reps = periodic_orbit_words(matrix, args.period)
     by_length: dict[int, list[str]] = {}
     for w, name in zip(reps, format_words(reps, matrix.size)):
         by_length.setdefault(len(w), []).append(name)
     periods = []
     # trace(A^q) for q = 1..p with A^q carried forward: p - 1 products in all
-    step = matrix.as_int_matrix()
-    power = step
+    power = step = matrix.as_int_matrix()
     for q in range(1, args.period + 1):
         if q > 1:
             power = power @ step
         fixed = power.trace()
-        weighted = sum(
-            d * len(by_length.get(d, [])) for d in range(1, q + 1) if q % d == 0
-        )
-        orbits_dividing = sum(len(by_length.get(d, [])) for d in range(1, q + 1) if q % d == 0)
+        dividing = [(d, len(by_length.get(d, []))) for d in range(1, q + 1) if q % d == 0]
         periods.append(
             {
                 "period": q,
                 "orbit_representatives": by_length.get(q, []),
                 "points_fixed_by_power": fixed,
-                "orbits_with_period_dividing": orbits_dividing,
-                "crosscheck_ok": fixed == weighted,
+                "orbits_with_period_dividing": sum(k for _, k in dividing),
+                "crosscheck_ok": fixed == sum(d * k for d, k in dividing),
             }
         )
     report = {
@@ -289,11 +280,10 @@ def _cmd_periodic(args) -> tuple[dict, int]:
 
 def _render_text(report: dict) -> str:
     cmd = report.get("command")
-    lines: list[str] = []
     if "error" in report:
         err = report["error"]
-        lines.append(f"error ({err['kind']}): {err['message']}")
-        return "\n".join(lines)
+        return f"error ({err['kind']}): {err['message']}"
+    lines: list[str] = []
     if cmd == "validate":
         lines.append("classifiable" if report["classifiable"] else "not classifiable")
         for issue in report["issues"]:
@@ -307,8 +297,8 @@ def _render_text(report: dict) -> str:
         lines.append(f"K0: {kt['k0_group']}, unit class free {kt['k0_unit_class']['free']} torsion {kt['k0_unit_class']['torsion']}")
         lines.append(f"K1 rank: {kt['k1_rank']}")
         lines.append(f"full group abelianization: {report['full_group_abelianization']}")
-    elif cmd in ("coe", "flow"):
-        title = "continuous orbit equivalence" if cmd == "coe" else "flow equivalence"
+    elif cmd in _DECISIONS:
+        title = _DECISIONS[cmd][1]
         lines.append(f"{title}: {'equivalent' if report['equivalent'] else 'not equivalent'}")
         lines.append(f"reason: {report['reason']}")
         cert = report["certificate"]
@@ -344,13 +334,6 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _emit(report: dict, as_json: bool) -> None:
-    if as_json:
-        sys.stdout.write(json.dumps(report, indent=2) + "\n")
-    else:
-        sys.stdout.write(_render_text(report) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # parser
 
@@ -373,15 +356,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
     p.set_defaults(handler=_cmd_invariant)
 
-    p = sub.add_parser("coe", parents=[common], help="decide continuous orbit equivalence")
-    p.add_argument("matrix_a")
-    p.add_argument("matrix_b")
-    p.set_defaults(handler=_cmd_coe)
-
-    p = sub.add_parser("flow", parents=[common], help="decide flow equivalence")
-    p.add_argument("matrix_a")
-    p.add_argument("matrix_b")
-    p.set_defaults(handler=_cmd_flow)
+    for name, (decide, title) in _DECISIONS.items():
+        p = sub.add_parser(name, parents=[common], help=f"decide {title}")
+        p.add_argument("matrix_a")
+        p.add_argument("matrix_b")
+        p.set_defaults(handler=_cmd_decide, decide=decide)
 
     p = sub.add_parser("realize", parents=[common], help="realize an invariant triple as a matrix")
     p.add_argument("--free-rank", type=int, default=0)
@@ -409,28 +388,20 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         report, code = args.handler(args)
-    except ParseError as exc:
-        report = {"command": args.subcommand, "error": {"kind": "parse_error", "message": str(exc)}}
-        code = EXIT_INVALID
-    except (_InvalidInput, PreconditionError, ShapeError, DomainError) as exc:
-        report = {"command": args.subcommand, "error": {"kind": "invalid_input", "message": str(exc)}}
-        code = EXIT_INVALID
-    except OSError as exc:
-        report = {"command": args.subcommand, "error": {"kind": "io_error", "message": str(exc)}}
-        code = EXIT_ERROR
-    except VerificationError as exc:
-        report = {"command": args.subcommand, "error": {"kind": "internal_error", "message": str(exc)}}
-        code = EXIT_ERROR
     except Exception as exc:
-        import traceback  # only on this path: the import costs every command start-up time
+        message = str(exc)
+        for types, kind, code in _FAILURES:
+            if isinstance(exc, types):
+                break
+        else:
+            import traceback  # only on this path: the import costs every command start-up time
 
-        traceback.print_exc(file=sys.stderr)
-        message = f"{type(exc).__name__}: {exc}"
-        report = {"command": args.subcommand, "error": {"kind": "internal_error", "message": message}}
-        code = EXIT_ERROR
+            traceback.print_exc(file=sys.stderr)
+            kind, code, message = "internal_error", EXIT_ERROR, f"{type(exc).__name__}: {message}"
+        report = {"command": args.subcommand, "error": {"kind": kind, "message": message}}
     if args.timing:
         report["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
-    _emit(report, args.json)
+    sys.stdout.write((json.dumps(report, indent=2) if args.json else _render_text(report)) + "\n")
     return code
 
 

@@ -43,6 +43,7 @@ class LocallyConstantFn:
     @staticmethod
     def over(a: ZeroOneMatrix, window: int, table: Mapping[Sequence[int], int]) -> "LocallyConstantFn":
         """Build a function and check its table covers exactly the admissible words."""
+        _check_count("window", window)
         normalized = {tuple(w): v for w, v in table.items()}
         for w in normalized:
             _check_ints("word symbol", w)

@@ -73,10 +73,9 @@ def matrix_from_rows(rows) -> NonNegMatrix:
     return NonNegMatrix.from_rows(rows)
 
 
-def format_matrix(matrix) -> str:
-    rows = matrix.entries if isinstance(matrix, NonNegMatrix) else matrix
-    lines = [str(len(rows))]
-    lines.extend(" ".join(str(x) for x in row) for row in rows)
+def format_matrix(matrix: NonNegMatrix) -> str:
+    lines = [str(matrix.size)]
+    lines.extend(" ".join(str(x) for x in row) for row in matrix.entries)
     return "\n".join(lines) + "\n"
 
 

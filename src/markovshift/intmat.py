@@ -9,10 +9,11 @@ On relation matrices id - A^t of 0/1 matrices almost every pivot is +-1.
 no record, carrying one vector along; the Smith form then runs on the
 block that is left, which has no entry +-1.
 
-The Smith form skips work on entries already known to be zero, which
-dominates on the sparse relation matrices of edge shifts: it leaves
-finished rows and columns alone.  That changes no pivot, operation or
-result; the docstring of ``smith_normal_form`` says why.
+The Smith form skips updates that would add zero, which changes no pivot,
+operation or result (see ``smith_normal_form``).  That pays even on the
+small, nearly dense blocks the unit-pivot pass leaves: a column operation
+updates only the rows where column t is nonzero, after the row pass just
+row t; updating every row ran 30-50 % slower.
 """
 
 from __future__ import annotations
@@ -175,12 +176,9 @@ class SnfResult:
 
     def u_times(self, v: Sequence[int]) -> tuple[int, ...]:
         """U v, replayed without building U."""
-        return tuple(_replay(self.row_ops, self._fit(v), inverse=False))
-
-    def _fit(self, v: Sequence[int]) -> list[int]:
         if len(v) != self.matrix.rows:
             raise ShapeError(f"vector of length {len(v)} does not fit {self.matrix.rows} rows")
-        return list(v)
+        return tuple(_replay(self.row_ops, list(v), inverse=False))
 
 
 def smith_normal_form(m: IntMatrix) -> SnfResult:

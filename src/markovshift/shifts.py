@@ -109,26 +109,20 @@ def relation_matrix(a: NonNegMatrix) -> IntMatrix:
 # words
 
 
-def _follows(a: NonNegMatrix, row: tuple[int, ...], ws: tuple[int, ...]) -> bool:
-    """True when ws[0] has a nonzero entry in row, and each later symbol one
-    in the row of the symbol before it.
-
-    Entries are nonnegative, so a nonzero entry is exactly an allowed pair.
-    The symbols must already be known to lie in the alphabet.
-    """
+def is_cyclically_admissible(a: NonNegMatrix, word) -> bool:
+    ws = tuple(word)
+    if not ws or min(ws) < 1 or max(ws) > a.size:
+        return False
+    # each symbol needs a nonzero entry in the row of the one before it, the
+    # first in the row of the last; entries are nonnegative, so a nonzero
+    # entry is exactly an allowed pair
     rows = a.entries
+    row = rows[ws[-1] - 1]
     for s in ws:
         if not row[s - 1]:
             return False
         row = rows[s - 1]
     return True
-
-
-def is_cyclically_admissible(a: NonNegMatrix, word) -> bool:
-    ws = tuple(word)
-    if not ws or min(ws) < 1 or max(ws) > a.size:
-        return False
-    return _follows(a, a.entries[ws[-1] - 1], ws)
 
 
 def lex_min_rotation(word) -> tuple[int, ...]:

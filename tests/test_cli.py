@@ -399,17 +399,52 @@ class TestErrorReports:
         assert out.stderr == ""
         assert out.stdout.startswith("error (io_error):")
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["realize", "--free-rank", "-1", "--sign", "0"], "free rank must be nonnegative"),
+            (
+                ["realize", "--torsion", "2,3", "--sign", "1"],
+                "torsion factors must form a divisibility chain; 2 does not divide 3",
+            ),
+            (["realize", "--torsion", "1", "--sign", "1"], "torsion factor 1 is not allowed; factors must be >= 2"),
+            (
+                ["realize", "--torsion", "1.5", "--sign", "1"],
+                "--torsion must be a comma-separated list of integers, got '1.5'",
+            ),
+            (
+                ["realize", "--free-rank", "1", "--sign", "1"],
+                "an infinite group forces determinant 0, so sign must be 0",
+            ),
+            (["realize", "--torsion", "3", "--sign", "0"], "a finite group needs sign -1 or 1"),
+            (
+                ["realize", "--torsion", "3", "--point", "1,2", "--sign", "1"],
+                "--point needs 1 coordinates (free then torsion), got 2",
+            ),
+            (["periodic", "golden", "0"], "period bound must be at least 1"),
+        ],
+    )
+    def test_invalid_input_reports_pinned(self, corpus, capsys, args, message):
+        args = [corpus.get(a, a) for a in args]
+        assert main([*args, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == json.dumps(
+            {"command": args[0], "error": {"kind": "invalid_input", "message": message}}, indent=2
+        ) + "\n"
+        assert captured.err == ""
+
     def test_verification_failure_exit_4(self, monkeypatch, capsys):
         def failing(*args, **kwargs):
             raise VerificationError("realized matrix has the wrong group or sign")
 
         monkeypatch.setattr(markovshift.cli, "realize", failing)
         assert main(["realize", "--torsion", "4", "--point", "1", "--sign", "-1", "--json"]) == 4
-        report = json.loads(capsys.readouterr().out)
-        assert report == {
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {
             "command": "realize",
             "error": {"kind": "internal_error", "message": "realized matrix has the wrong group or sign"},
         }
+        assert captured.err == ""
 
     def test_unexpected_exception_exit_4(self, monkeypatch, capsys):
         def failing(*args, **kwargs):

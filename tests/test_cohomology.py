@@ -78,6 +78,13 @@ class TestLocallyConstantFn:
             LocallyConstantFn(True, {(1,): 1, (2,): -1})
         with pytest.raises(ShapeError, match="window 1.5 is not an integer"):
             LocallyConstantFn(1.5, {})
+        # over names its own parameter, not the word length of admissible_words
+        with pytest.raises(ShapeError, match="window True is not an integer"):
+            LocallyConstantFn.over(FULL2, True, {(1,): 1, (2,): -1})
+        with pytest.raises(ShapeError, match="window 1.5 is not an integer"):
+            LocallyConstantFn.over(FULL2, 1.5, {})
+        with pytest.raises(DomainError, match="window must be at least 1"):
+            LocallyConstantFn.over(FULL2, 0, {})
 
     def test_evaluation_off_domain_is_an_error(self):
         with pytest.raises(DomainError):
