@@ -53,6 +53,7 @@ from .shifts import (
     is_cyclically_admissible,
     is_irreducible,
     lex_min_rotation,
+    out_split,
     periodic_orbit_words,
     relation_matrix,
     validate,

@@ -60,6 +60,19 @@ class _InvalidInput(MarkovShiftError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose refusals are reported like any other invalid input.
+
+    The usage and argparse's message still go to stderr; ``main`` then
+    writes the report and exits with ``EXIT_INVALID``, argparse's own code.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        raise _InvalidInput(message)
+
+
 # the decision and title of the two equivalence commands
 _DECISIONS = {
     "coe": (decide_coe, "continuous orbit equivalence"),
@@ -342,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit the machine-readable report")
     common.add_argument("--timing", action="store_true", help="include elapsed time in the report")
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="markovshift",
         description="Invariants, equivalence decisions and realizations for topological Markov shifts",
     )
@@ -384,9 +397,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # parsed into in place, so a refused command line is reported with its
+    # subcommand once that is recognized, and in JSON when --json was given
+    args = argparse.Namespace(subcommand=None, json="--json" in argv, timing=False)
     started = time.perf_counter()
     try:
+        _build_parser().parse_args(argv, args)
         report, code = args.handler(args)
     except Exception as exc:
         message = str(exc)

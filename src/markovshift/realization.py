@@ -4,20 +4,21 @@ The pipeline: pick a base matrix that presents the requested group with
 the requested determinant sign, choose nonnegative tail lengths whose
 class lies in the orbit of the requested distinguished element, graft
 tails of those lengths onto the states to move the all-ones class onto
-that class, and finally recode the nonnegative matrix as a 0/1 edge
-shift, which has one state per unit of the tail-extended matrix.
+that class, and finally recode the nonnegative matrix as a 0/1 matrix by
+an out-splitting (``out_split``), which splits each state into as many
+copies as its row's largest entry.
 
 There are two bases.  The diagonal plan (``choose_shape``,
 ``base_matrix``) has a diagonal entry d + 2 for each prime-power part d
 of the torsion, so Z/p costs about p states, and its tails have a
 closed form (``point_vector``).  A finite cyclic group Z/m
 also has a 2x2 base with entries near sqrt(m) and a closed-form class map
-(``cyclic_base``), so it costs a few times sqrt(m) states: 82 for Z/1009,
-against 1,023.  ``realize`` keeps whichever plan ends with fewer states.
+(``cyclic_base``), so it costs a few times sqrt(m) states: 64 for Z/1009,
+against 1,017.  ``realize`` keeps whichever plan ends with fewer states.
 Neither plan needs a Smith form.  The stages only construct; ``realize``
 verifies the result once, by recomputing the invariant of the returned
 matrix and matching it against the request, the point with
-``pointed_is_isomorphic``.  The returned edge shift merges back to the
+``pointed_is_isomorphic``.  The returned out-splitting merges back to the
 tail-extended matrix (``invariant_triple`` takes its column
 amalgamation), so that check, irreducibility, the permutation test and
 the one Smith form of a realization, runs at the smaller size.
@@ -38,7 +39,7 @@ from .groups import (
 )
 from .intmat import _check_ints
 from .invariants import MarkovInvariant, invariant_triple
-from .shifts import NonNegMatrix, ZeroOneMatrix, edge_shift
+from .shifts import NonNegMatrix, ZeroOneMatrix, out_split
 
 
 @frozen
@@ -225,8 +226,12 @@ def tail_extension(a: NonNegMatrix, c) -> NonNegMatrix:
 
 
 def _final_states(base: NonNegMatrix, c) -> int:
-    """States of the edge shift of tail_extension(base, c): its entry sum."""
-    return sum(map(sum, base.entries)) + sum(c)
+    """States of the out-splitting of tail_extension(base, c): the sum of its row maxima.
+
+    A tail state's row is a single 1, and the last state of state i's tail
+    carries row i of the base.
+    """
+    return sum(map(max, base.entries)) + sum(c)
 
 
 def _plan(group: FgAbelianGroup, point: GroupElement, sign: int):
@@ -264,15 +269,16 @@ def realize(
     The triple must be admissible: sign 0 exactly for infinite groups.
     Finite cyclic groups take the cyclic base when it ends with fewer
     states than the diagonal plan; every other group takes the diagonal
-    plan.  The returned matrix has been verified by recomputing its
-    invariant and matching it against the request; the point is matched up
-    to a group automorphism, since its coordinates depend on the states.
+    plan.  The returned matrix is the out-splitting (``out_split``) of the
+    tail-extended base.  It has been verified by recomputing its invariant
+    and matching it against the request; the point is matched up to a
+    group automorphism, since its coordinates depend on the states.
     """
     point = group.element(point.free_coords, point.torsion_coords)
     d, base, c = _plan(group, point, sign)
     extended = tail_extension(base, c)
-    final = edge_shift(extended)
-    # edge_shift returns a ZeroOneMatrix, so only irreducibility and the permutation
+    final = out_split(extended)
+    # out_split returns a ZeroOneMatrix, so only irreducibility and the permutation
     # property are left to check; invariant_triple checks both on the merged matrix
     try:
         inv = invariant_triple(final)

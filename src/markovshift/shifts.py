@@ -3,15 +3,16 @@
 Matrices act on the alphabet {1, ..., N}; a word is admissible when every
 consecutive pair is allowed by the matrix.  This module covers structural
 validation (zero rows, irreducibility, whether the shift space has
-isolated points), periodic-orbit enumeration, the edge-shift conversion of
-a nonnegative matrix, and higher-block recodings.
+isolated points), periodic-orbit enumeration, the edge-shift and
+out-splitting conversions of a nonnegative matrix to a 0/1 one, and
+higher-block recodings.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from itertools import chain, compress
-from operator import mul
+from operator import itemgetter, mul
 
 from ._value import frozen
 from .errors import DomainError, PreconditionError, ShapeError
@@ -325,7 +326,8 @@ def edge_shift(a: NonNegMatrix) -> ZeroOneMatrix:
     target, copy index) so the output is reproducible.  Edge e may be
     followed by edge f exactly when e ends where f starts.  The resulting
     shift is conjugate to the original one, so every invariant computed
-    downstream agrees.
+    downstream agrees.  It has one state per unit of an entry;
+    ``out_split`` recodes with one per unit of each row's largest entry.
     """
     edges = [(i, j) for i, row in enumerate(a.entries) for j, count in enumerate(row) for _ in range(count)]
     if len(edges) < 2:
@@ -333,6 +335,26 @@ def edge_shift(a: NonNegMatrix) -> ZeroOneMatrix:
     # one row per state, with a 1 at each edge starting there; each edge takes its target's row
     starts = [tuple(int(source == i) for source, _ in edges) for i in range(a.size)]
     rows = tuple(starts[target] for _, target in edges)
+    return ZeroOneMatrix(rows)
+
+
+def out_split(a: NonNegMatrix) -> ZeroOneMatrix:
+    """Recode a nonnegative matrix as a 0/1 matrix by splitting each state.
+
+    State x becomes k_x = max_y A(x, y) copies, ordered by (state, copy
+    index).  Copy j of x has a 1 at every copy of each y with A(x, y) > j,
+    so the copies of y share y's column, and over the copies of x that
+    column holds A(x, y) ones.  This out-splitting is a conjugacy of the
+    one-sided shift (Williams 1973; Lind and Marcus 1995, section 2.4) that
+    ``column_amalgamation`` undoes.  It has sum_x k_x states, never more
+    than the edge shift's sum of all entries.
+    """
+    counts = list(map(max, a.entries))
+    if sum(counts) < 2:
+        raise DomainError("out-splitting would have fewer than 2 states")
+    # a thresholded row of A becomes a row of the split by repeating its entry y k_y times
+    spread = itemgetter(*[y for y, k in enumerate(counts) for _ in range(k)])
+    rows = tuple(spread([int(x > j) for x in row]) for row, k in zip(a.entries, counts) for j in range(k))
     return ZeroOneMatrix(rows)
 
 

@@ -270,7 +270,7 @@ class TestRealizeCommand:
         assert cyclic.returncode == 0
         assert "cyclic base: [[2, 11], [10, 2]]" in cyclic.stdout
         assert "diagonal parameters" not in cyclic.stdout
-        assert "final matrix size: 25" in cyclic.stdout
+        assert "final matrix size: 21" in cyclic.stdout
 
     def test_z_plus_large_torsion_verifies(self):
         # |T| = 729: the pointed check of the realized matrix is exact
@@ -431,6 +431,41 @@ class TestErrorReports:
         assert captured.out == json.dumps(
             {"command": args[0], "error": {"kind": "invalid_input", "message": message}}, indent=2
         ) + "\n"
+        assert captured.err == ""
+
+    @pytest.mark.parametrize(
+        "args, command, message",
+        [
+            (["frob"], None, "argument subcommand: invalid choice: 'frob'"),
+            (["realize", "--torsion", "3"], "realize", "the following arguments are required: --sign"),
+            (["realize", "--sign", "5"], "realize", "argument --sign: invalid choice: 5"),
+        ],
+        ids=["unknown_command", "missing_argument", "invalid_choice"],
+    )
+    def test_argument_refusals_are_reported(self, capsys, args, command, message):
+        # argparse's usage and message stay on stderr; the report goes to stdout
+        assert main([*args, "--json"]) == 2
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["command"] == command
+        assert report["error"]["kind"] == "invalid_input"
+        assert report["error"]["message"].startswith(message)
+        assert set(report) == {"command", "error"}
+        assert captured.err.startswith("usage: markovshift")
+        assert f"error: {report['error']['message']}\n" in captured.err
+
+    def test_argument_refusal_text_report(self):
+        out = run_cli("realize", "--sign", "5")
+        assert out.returncode == 2
+        assert out.stdout.startswith("error (invalid_input): argument --sign: invalid choice: 5")
+        assert out.stderr.startswith("usage: markovshift realize")
+
+    def test_help_is_not_a_refusal(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["realize", "--help", "--json"])
+        assert exit_info.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: markovshift realize")
         assert captured.err == ""
 
     def test_verification_failure_exit_4(self, monkeypatch, capsys):

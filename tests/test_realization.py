@@ -32,9 +32,9 @@ from markovshift import (
 )
 from markovshift.intmat import eliminate_unit_pivots
 from markovshift.realization import cyclic_base, cyclic_tails
-from markovshift.shifts import column_amalgamation, edge_shift
+from markovshift.shifts import column_amalgamation, edge_shift, out_split
 
-from _support import count_calls, cyclic_tails_by_walk, elements, identity_minus
+from _support import all_shapes_up_to, count_calls, cyclic_tails_by_walk, elements, identity_minus
 
 FULL2 = ZeroOneMatrix.from_rows([[1, 1], [1, 1]])
 FULL3 = ZeroOneMatrix.from_rows([[1, 1, 1], [1, 1, 1], [1, 1, 1]])
@@ -252,10 +252,10 @@ class TestRealize:
         matrix, plan = realize(group, group.zero(), 1)
         inv = invariant_triple(matrix)
         assert inv.group == group and inv.sign == 1
-        # the cyclic base [[3, 1], [1, 3]] with tails (1, 0) ties at 9 states,
+        # the cyclic base [[3, 1], [1, 3]] with tails (1, 0) ties at 7 states,
         # and a tie keeps the diagonal plan
         assert plan.base.entries == ((2, 1), (1, 5))
-        assert plan.d_list == (0, 3) and matrix.size == 9
+        assert plan.d_list == (0, 3) and matrix.size == 7
 
     def test_outputs_always_classifiable(self):
         cases = [
@@ -352,7 +352,7 @@ class TestRealize:
         ids=["reducible", "permutation"],
     )
     def test_unclassifiable_result_fails_verification(self, monkeypatch, rows, message):
-        monkeypatch.setattr(markovshift.realization, "edge_shift", lambda a: ZeroOneMatrix.from_rows(rows))
+        monkeypatch.setattr(markovshift.realization, "out_split", lambda a: ZeroOneMatrix.from_rows(rows))
         group = FgAbelianGroup(0, (4,))
         with pytest.raises(VerificationError, match=f"realized matrix failed validation: {message}"):
             realize(group, group.element(torsion=(1,)), 1)
@@ -372,9 +372,18 @@ def tail_box(base, sign):
     return (c, b) if sign == -1 else (a - 1, d - 1)
 
 
-def diagonal_states(group, point, sign):
+def split_states(base):
+    """States of the out-splitting of a base with no tails: its row maxima."""
+    return sum(map(max, base.entries))
+
+
+def diagonal_plan(group, point, sign):
     d = choose_shape(group, sign)
-    return edge_shift(tail_extension(base_matrix(d), point_vector(group, point, d))).size
+    return tail_extension(base_matrix(d), point_vector(group, point, d))
+
+
+def diagonal_states(group, point, sign):
+    return out_split(diagonal_plan(group, point, sign)).size
 
 
 class TestCyclicBase:
@@ -466,7 +475,7 @@ class TestCyclicBase:
         for m in (30030, 1009, 211, 12, 223092870, 6469693230):
             group = cyclic_group(m)
             for sign in (-1, 1):
-                cyclic_states = sum(map(sum, cyclic_base(m, sign)[0].entries))
+                cyclic_states = split_states(cyclic_base(m, sign)[0])
                 for u in (0, 1, m - 1):
                     point = cyclic_point(group, u)
                     searched.clear()
@@ -488,8 +497,8 @@ class TestCyclicBase:
                 inv = invariant_triple(matrix)
                 assert inv.group == group and inv.sign == sign
                 assert pointed_is_isomorphic(inv.pointed, PointedGroup(group, point)), (m, u, sign)
-                # one state per unit of the tail-extended base
-                assert matrix.size == sum(map(sum, plan.base.entries)) + sum(plan.c_vector)
+                # one state per copy: the row maxima of the base, and one per tail state
+                assert matrix.size == split_states(plan.base) + sum(plan.c_vector)
 
     def test_never_more_states_than_the_diagonal_plan(self):
         rng = random.Random(1409)
@@ -506,9 +515,9 @@ class TestCyclicBase:
 
     def test_sizes(self):
         for m, u, sign, states, diagonal in [
-            (109, 108, -1, 25, 123),
-            (211, 1, 1, 47, 218),
-            (1009, 1008, -1, 82, 1023),
+            (109, 108, -1, 21, 117),
+            (211, 1, 1, 32, 216),
+            (1009, 1008, -1, 64, 1017),
         ]:
             group = cyclic_group(m)
             matrix, plan = realize(group, cyclic_point(group, u), sign)
@@ -517,7 +526,8 @@ class TestCyclicBase:
 
     def test_other_groups_keep_the_diagonal_plan(self):
         # 8,634 states in all when the tails came from a Smith form of the
-        # base; the closed-form tails give 8,155
+        # base; the closed-form tails give 8,155, and their out-splitting
+        # in place of the edge shift 4,841
         rng = random.Random(14)
         out = []
         for factors in [(2, 2), (2, 4), (3, 3), (2, 2, 2), (2, 6), (4, 4), (2, 8), (3, 9)]:
@@ -536,4 +546,31 @@ class TestCyclicBase:
                     assert plan.d_list == choose_shape(group, 0)
                     out.append(matrix.size)
         assert len(out) == 268
-        assert sum(out) <= 8634
+        assert sum(out) <= 4841
+
+
+def edge_shift_plan_states(group, point, sign):
+    """Size of the realization when the plans were counted and recoded by the edge shift."""
+    diagonal = edge_shift(diagonal_plan(group, point, sign)).size
+    if len(group.torsion_factors) > 1:
+        return diagonal
+    m = group.order()
+    base, weights = cyclic_base(m, sign)
+    units = sum(map(sum, base.entries))
+    tails = cyclic_tails(m, weights, sum(point.torsion_coords), diagonal - units)
+    return diagonal if tails is None else units + sum(tails)
+
+
+def test_no_triple_grows_under_the_split():
+    # every finite group of order <= 20 at every point and both signs: the
+    # realization is the out-splitting of the chosen plan, and never larger
+    # than the edge shift of the plan the edge-shift count chose
+    shapes = all_shapes_up_to(20)
+    assert len(shapes) == 31
+    for factors in shapes:
+        group = FgAbelianGroup(0, factors)
+        for point in elements(group):
+            for sign in (-1, 1):
+                matrix, plan = realize(group, point, sign)
+                assert matrix.size == split_states(plan.base) + sum(plan.c_vector)
+                assert matrix.size <= edge_shift_plan_states(group, point, sign), (group, point, sign)

@@ -14,10 +14,13 @@ from markovshift import (
     count_period_points,
     edge_shift,
     higher_block,
+    invariant_triple,
     is_cyclically_admissible,
     is_irreducible,
     lex_min_rotation,
+    out_split,
     periodic_orbit_words,
+    pointed_is_isomorphic,
     relation_matrix,
     validate,
 )
@@ -535,6 +538,47 @@ class TestEdgeShift:
             out = edge_shift(m)
             for p in range(1, 7):
                 assert count_period_points(m, p) == count_period_points(out, p)
+
+
+class TestOutSplit:
+    def test_explicit(self):
+        # state 1 splits in two, state 2 in three; copy j of x has a 1 at every copy of y with A(x, y) > j
+        out = out_split(NonNegMatrix.from_rows([[2, 1], [0, 3]]))
+        assert out.entries == (
+            (1, 1, 1, 1, 1),
+            (1, 1, 0, 0, 0),
+            (0, 0, 1, 1, 1),
+            (0, 0, 1, 1, 1),
+            (0, 0, 1, 1, 1),
+        )
+
+    def test_degenerate_rejected(self):
+        with pytest.raises(DomainError, match="fewer than 2 states"):
+            out_split(NonNegMatrix.from_rows([[1]]))
+
+    def test_random_matrices_against_the_edge_shift(self):
+        rng = random.Random(5021)
+        checked = classifiable = 0
+        while checked < 200:
+            n = rng.randint(1, 5)
+            rows = [[rng.randint(0, 3) for _ in range(n)] for _ in range(n)]
+            if not all(map(any, rows)) or not all(map(any, zip(*rows))) or rows == [[1]]:
+                continue
+            m = NonNegMatrix.from_rows(rows)
+            out = out_split(m)
+            edges = edge_shift(m)
+            assert isinstance(out, ZeroOneMatrix)
+            assert {x for row in out.entries for x in row} <= {0, 1}
+            assert out.size == sum(map(max, rows))
+            assert out.size <= edges.size
+            assert column_amalgamation(out).entries == column_amalgamation(m).entries
+            if validate(m).classifiable:
+                want, got = invariant_triple(edges), invariant_triple(out)
+                assert (got.group, got.det_value) == (want.group, want.det_value)
+                assert pointed_is_isomorphic(got.pointed, want.pointed)
+                classifiable += 1
+            checked += 1
+        assert classifiable > 100
 
 
 class TestColumnAmalgamation:

@@ -79,8 +79,7 @@ VALUES = {
         lambda: realize(FgAbelianGroup(0, (2,)), GroupElement((), (1,)), -1)[1],
         "RealizationPlan(d_list=(), c_vector=(0, 0), base=NonNegMatrix(entries=((2, 2), (1, 1))), "
         "extended=NonNegMatrix(entries=((2, 2), (1, 1))), "
-        "final=ZeroOneMatrix(entries=((1, 1, 1, 1, 0, 0), (1, 1, 1, 1, 0, 0), (0, 0, 0, 0, 1, 1), "
-        "(0, 0, 0, 0, 1, 1), (1, 1, 1, 1, 0, 0), (0, 0, 0, 0, 1, 1))), "
+        "final=ZeroOneMatrix(entries=((1, 1, 1), (1, 1, 1), (1, 1, 1))), "
         "invariant=MarkovInvariant(group=FgAbelianGroup(free_rank=0, torsion_factors=(2,)), "
         "point=GroupElement(free_coords=(), torsion_coords=(1,)), det_value=-2))",
     ),
