@@ -112,7 +112,9 @@ def relation_matrix(a: NonNegMatrix) -> IntMatrix:
 
 def is_cyclically_admissible(a: NonNegMatrix, word) -> bool:
     ws = tuple(word)
-    if not ws or min(ws) < 1 or max(ws) > a.size:
+    # a symbol that is not an int is refused, not read as the int it equals;
+    # a bool is an int here, True read as 1
+    if not ws or not all(isinstance(s, int) for s in ws) or min(ws) < 1 or max(ws) > a.size:
         return False
     # each symbol needs a nonzero entry in the row of the one before it, the
     # first in the row of the last; entries are nonnegative, so a nonzero

@@ -1,6 +1,9 @@
 import random
 import re
 from collections import Counter
+from decimal import Decimal
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -22,6 +25,7 @@ from markovshift.cohomology import _negative_cycle
 from markovshift.shifts import block_graph
 
 from _support import (
+    _cyclic_pairs_allowed,
     attracting_weight,
     coboundary,
     constant_fn,
@@ -43,6 +47,25 @@ def random_fn(rng: random.Random, m: ZeroOneMatrix, window: int, bound: int = 3)
 def exhaustive_minimum(m: ZeroOneMatrix, fn: LocallyConstantFn, max_len: int) -> int:
     """Least orbit sum over all periodic orbits up to the given length."""
     return min(orbit_sum(m, fn, w) for w in periodic_orbit_words(m, max_len))
+
+
+def checked_outcome(m: ZeroOneMatrix, fn: LocallyConstantFn, cycle: tuple) -> object:
+    """What orbit_sum must return, or the (error type, message) it must raise, read from the rows and the table."""
+    if not (cycle and all(1 <= s <= m.size for s in cycle) and _cyclic_pairs_allowed(m, cycle)):
+        return InadmissibleWordError, f"cycle {cycle} is not cyclically admissible"
+    n = len(cycle)
+    for i in range(n):
+        w = tuple(cycle[(i + t) % n] for t in range(fn.window))
+        if w not in fn.values:
+            return DomainError, f"function is not defined on word {w}"
+    return naive_orbit_sum(m, fn, cycle)
+
+
+def outcome(m: ZeroOneMatrix, fn: LocallyConstantFn, cycle: tuple) -> object:
+    try:
+        return orbit_sum(m, fn, cycle)
+    except (InadmissibleWordError, DomainError) as exc:
+        return type(exc), str(exc)
 
 
 class TestLocallyConstantFn:
@@ -85,6 +108,19 @@ class TestLocallyConstantFn:
             LocallyConstantFn.over(FULL2, 1.5, {})
         with pytest.raises(DomainError, match="window must be at least 1"):
             LocallyConstantFn.over(FULL2, 0, {})
+
+    def test_values_are_a_private_copy(self):
+        table = {(1,): 1, (2,): -1}
+        fn = LocallyConstantFn(1, table)
+        assert fn == SIGN_FN
+        assert repr(fn) == "LocallyConstantFn(window=1, values={(1,): 1, (2,): -1})"
+        assert orbit_sum(FULL2, fn, (1, 2, 2)) == -1
+        # editing the caller's dict after the window table was built changes nothing
+        table[(2,)] = 5
+        del table[(1,)]
+        assert fn.values == {(1,): 1, (2,): -1}
+        for cycle in ((1,), (2,), (1, 2, 2)):
+            assert orbit_sum(FULL2, fn, cycle) == naive_orbit_sum(FULL2, fn, cycle)
 
     def test_evaluation_off_domain_is_an_error(self):
         with pytest.raises(DomainError):
@@ -147,6 +183,55 @@ class TestOrbitSum:
         for cycle in ((3,), (1, 3), (0, 1), ()):
             with pytest.raises(InadmissibleWordError):
                 orbit_sum(FULL2, SIGN_FN, cycle)
+
+
+    def test_non_integer_symbols_rejected(self):
+        # a hash lookup reads 1.0, Fraction(1) and Decimal(2) as ints; each of
+        # these cycles used to raise a bare TypeError
+        window2 = constant_fn(FULL2, 1, window=2)
+        for fn in (SIGN_FN, window2):
+            assert orbit_sum(FULL2, fn, (1, 2)) == naive_orbit_sum(FULL2, fn, (1, 2))
+            for cycle in ((1.0,), (1, 2.0), ("1",), (Fraction(1),), (Decimal(2), 1), ([1],)):
+                message = re.escape(f"cycle {cycle} is not cyclically admissible")
+                with pytest.raises(InadmissibleWordError, match=message):
+                    orbit_sum(FULL2, fn, cycle)
+
+    def test_bools_read_as_ints_on_both_paths(self):
+        assert orbit_sum(FULL2, SIGN_FN, (True, 2)) == 0
+        assert orbit_sum(FULL2, SIGN_FN, (True,)) == 1
+        # the key (1.0, 1) is no admissible word, so it stays out of the window
+        # table; (True,) misses there and the checked path finds it by equality
+        fn = LocallyConstantFn(2, {(1.0, 1): 5, (1, 2): 1, (2, 1): 2, (2, 2): -7})
+        assert orbit_sum(FULL2, fn, (True,)) == 5
+        assert orbit_sum(FULL2, fn, (True, 2)) == 3
+
+    def test_table_lookups_match_the_checked_oracle(self):
+        rng = random.Random(2202)
+        for size in (2, 3, 4, 5):
+            for _ in range(2):
+                m = random_zero_one(rng, size)
+                other = random_zero_one(rng, size)
+                cycles = sorted(set(periodic_orbit_words(m, 6)) | set(periodic_orbit_words(other, 6)))
+                cycles += [tuple(rng.randint(1, size) for _ in range(rng.randint(1, 7))) for _ in range(40)]
+                cycles += [(0,), (size + 1,), (1, size + 1), (-1, 1), ()]
+                for window in (1, 2, 3, 4):
+                    words = admissible_words(m, window)
+                    fns = [
+                        random_fn(rng, m, window, bound=9),
+                        random_fn(rng, other, window, bound=9),
+                        # partial, built directly
+                        LocallyConstantFn(window, {w: rng.randint(-9, 9) for w in words if rng.random() < 0.7}),
+                        # over-complete: every word on 0..size+1, admissible or not
+                        LocallyConstantFn(
+                            window, {w: rng.randint(-9, 9) for w in product(range(size + 2), repeat=window)}
+                        ),
+                    ]
+                    for fn in fns:
+                        # one function read over two matrices in turn: a table
+                        # kept for the other matrix would show
+                        for a in (m, other, m):
+                            for cycle in cycles:
+                                assert outcome(a, fn, cycle) == checked_outcome(a, fn, cycle)
 
 
 class TestAttractingWeight:
@@ -249,6 +334,20 @@ class TestIsPositiveClass:
                 }
                 shifted = LocallyConstantFn.over(m, width, lifted)
                 assert is_positive_class(m, shifted).positive == base
+
+
+    def test_table_must_match_the_block_graph(self):
+        golden = ZeroOneMatrix.from_rows([[1, 1], [1, 0]])
+        words = admissible_words(FULL2, 2)
+        cases = [
+            (FULL2, words[:-1]),  # one word short
+            (FULL2, words + [(3, 3)]),  # one key too many
+            (golden, words[1:]),  # as many keys, (1, 1) swapped for (2, 2)
+        ]
+        for m, keys in cases:
+            fn = LocallyConstantFn(2, {w: 0 for w in keys})
+            with pytest.raises(DomainError, match="^function table does not match the admissible words of the matrix$"):
+                is_positive_class(m, fn)
 
 
 def random_block_graphs(seed: int, count: int):

@@ -1,5 +1,7 @@
 import random
 from collections import Counter
+from decimal import Decimal
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -381,6 +383,16 @@ class TestWords:
                     )
         assert not is_cyclically_admissible(cases[0], (1, 4))
         assert not is_cyclically_admissible(cases[0], ())
+
+    def test_non_integer_symbols_are_not_admissible(self):
+        # each of these equals or sorts with an int, and used to raise a bare TypeError
+        for word in ((1.0,), (1, 2.0), ("1",), (Fraction(1),), (Decimal(2), 1), ([1],)):
+            assert not is_cyclically_admissible(FULL2, word)
+        # a bool is an int, True read as 1
+        assert is_cyclically_admissible(FULL2, (True,))
+        assert is_cyclically_admissible(GOLDEN, (True, 2))
+        assert not is_cyclically_admissible(GOLDEN, (2, True, 2))
+        assert not is_cyclically_admissible(FULL2, (False,))
 
     def test_admissible_words_against_brute_force(self):
         rng = random.Random(79)
