@@ -18,12 +18,12 @@ admissibility check and the lookups in ``values``, which name the error.
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping, Sequence
+from types import MappingProxyType
 
 from ._value import frozen
 from .errors import DomainError, InadmissibleWordError, VerificationError
 from .intmat import _check_ints
 from .shifts import (
-    NonNegMatrix,
     ZeroOneMatrix,
     _check_count,
     admissible_words,
@@ -38,10 +38,10 @@ from .shifts import (
 class LocallyConstantFn:
     """Integer function on the shift space depending on a fixed window.
 
-    ``values`` holds a private copy of the table given, so a caller who
-    edits their own dict afterwards changes neither the function nor the
-    window table ``orbit_sum`` keeps for it; ``values`` itself is not to be
-    edited.  Equality and ``repr`` read the window and the values only.
+    ``values`` is a read-only view of a private copy of the table given, so
+    neither the caller's dict nor the view can change the function or the
+    window table ``orbit_sum`` keeps for it.  Equality and ``repr`` read the
+    window and the values only; ``repr`` shows the values as a dict.
     """
 
     window: int
@@ -53,12 +53,15 @@ class LocallyConstantFn:
     _table_over = (None, None)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", dict(self.values))
+        object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
         _check_count("window", self.window)
         for w in self.values:
             if len(w) != self.window:
                 raise DomainError(f"table key {w} does not have window length {self.window}")
         _check_ints("function value", self.values.values())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(window={self.window!r}, values={dict(self.values)!r})"
 
     @staticmethod
     def over(a: ZeroOneMatrix, window: int, table: Mapping[Sequence[int], int]) -> "LocallyConstantFn":
@@ -88,26 +91,21 @@ class LocallyConstantFn:
             raise DomainError(f"function is not defined on word {key}") from None
 
 
-def _window_table(a: NonNegMatrix, fn: LocallyConstantFn) -> dict[tuple[int, ...], int]:
+def _window_table(a: ZeroOneMatrix, fn: LocallyConstantFn) -> dict[tuple[int, ...], int]:
     """The values of fn keyed by exactly the windows an admissible cycle of a shows.
 
-    Window 1 is keyed by the pair (previous symbol, symbol) of each allowed
-    transition and takes the value at the symbol.  A wider window keeps the
-    keys of ``fn.values`` that are admissible words of a.  Either way each
-    key holds an allowed transition, its first, and window i of a cycle
-    holds the cyclic transition from symbol i, so a cycle all of whose
-    windows are keys is cyclically admissible.
+    The keys come from ``admissible_words``.  Window 1 is keyed by each
+    admissible 2-word (previous symbol, symbol) and takes the value at the
+    symbol; a wider window keeps the admissible words of its width on
+    which fn is defined.  Either way each key holds an allowed transition,
+    its first, and window i of a cycle holds the cyclic transition from
+    symbol i, so a cycle all of whose windows are keys is cyclically
+    admissible.
     """
-    rows = a.entries
     values = fn.values
-    states = range(1, a.size + 1)
     if fn.window == 1:
-        return {(s, t): values[(t,)] for s in states for t in states if rows[s - 1][t - 1] and (t,) in values}
-    return {
-        w: v
-        for w, v in values.items()
-        if all(isinstance(s, int) and s in states for s in w) and all(rows[s - 1][t - 1] for s, t in zip(w, w[1:]))
-    }
+        return {(s, t): values[(t,)] for s, t in admissible_words(a, 2) if (t,) in values}
+    return {w: values[w] for w in admissible_words(a, fn.window) if w in values}
 
 
 def _windows(c: tuple[int, ...], k: int) -> Iterator[tuple[int, ...]]:
@@ -242,10 +240,15 @@ def is_positive_class(a: ZeroOneMatrix, fn: LocallyConstantFn) -> PositivityResu
     require_classifiable(a)
     words, successors = block_graph(a, fn.window)
     values = fn.values
+    # subscripts, not the view's bound methods: through a MappingProxyType
+    # those cost twice as much per word
+    try:
+        weight = [values[w] for w in words]
+    except KeyError:
+        weight = None
     # the words are distinct, so a table with as many keys that holds each of them holds no other
-    if len(values) != len(words) or not all(map(values.__contains__, words)):
+    if weight is None or len(values) != len(words):
         raise DomainError("function table does not match the admissible words of the matrix")
-    weight = list(map(values.__getitem__, words))
     # A is irreducible, so the k-block graph is strongly connected: one search reaches every cycle
     cycle = _negative_cycle(successors, weight)
     if cycle is None:

@@ -86,11 +86,6 @@ class IntMatrix:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         return IntMatrix(_product(self.entries, other.entries))
 
-    def trace(self) -> int:
-        if not self.is_square:
-            raise ShapeError("trace needs a square matrix")
-        return sum(self.entries[i][i] for i in range(self.rows))
-
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 

@@ -27,7 +27,7 @@ the one Smith form of a realization, runs at the smaller size.
 from __future__ import annotations
 
 import math
-from itertools import chain, count
+from itertools import accumulate, chain, count
 
 from ._value import frozen
 from .errors import PreconditionError, ShapeError, VerificationError
@@ -204,7 +204,8 @@ def tail_extension(a: NonNegMatrix, c) -> NonNegMatrix:
     State (i, j) with j < c_i steps deterministically to (i, j + 1); state
     (i, c_i) behaves like original state i feeding the tail heads.  This
     moves the all-ones class onto the class of 1 + c while keeping the
-    determinant.
+    determinant.  States are ordered by (i, j), so (i, j) is state
+    heads[i] + j, where heads[i] is the sum of c_k + 1 over k < i.
     """
     c = tuple(c)
     _check_ints("tail length", c)
@@ -212,17 +213,17 @@ def tail_extension(a: NonNegMatrix, c) -> NonNegMatrix:
         raise ShapeError("tail length vector must have one entry per state")
     if any(x < 0 for x in c):
         raise PreconditionError("tail lengths must be nonnegative")
-    states = [(i, j) for i in range(1, a.size + 1) for j in range(c[i - 1] + 1)]
-    index = {s: k for k, s in enumerate(states)}
-    size = len(states)
-    rows = [[0] * size for _ in range(size)]
-    for (i, j), k in index.items():
-        if j == c[i - 1]:
-            for t in range(1, a.size + 1):
-                rows[k][index[(t, 0)]] = a.entry(i, t)
-        else:
-            rows[k][index[(i, j + 1)]] = 1
-    return NonNegMatrix.from_rows(rows)
+    heads = list(accumulate((x + 1 for x in c), initial=0))
+    size = heads.pop()
+    zeros = (0,) * size
+    rows = []
+    for head, tail, row in zip(heads, c, a.entries):
+        rows += [zeros[:k] + (1,) + zeros[k + 1 :] for k in range(head + 1, head + tail + 1)]
+        last = list(zeros)
+        for k, x in zip(heads, row):
+            last[k] = x
+        rows.append(tuple(last))
+    return NonNegMatrix(tuple(rows))
 
 
 def _final_states(base: NonNegMatrix, c) -> int:

@@ -73,13 +73,6 @@ class NonNegMatrix:
     def size(self) -> int:
         return len(self.entries)
 
-    def entry(self, s: int, t: int) -> int:
-        """Entry for the symbol pair (s, t); symbols are 1-based."""
-        return self.entries[s - 1][t - 1]
-
-    def as_int_matrix(self) -> IntMatrix:
-        return IntMatrix(self.entries)
-
 
 @frozen
 class ZeroOneMatrix(NonNegMatrix):

@@ -203,11 +203,11 @@ def test_criterion_06_trace_formula():
         orbit_counts: dict[int, int] = {}
         for w in reps:
             orbit_counts[len(w)] = orbit_counts.get(len(w), 0) + 1
-        power = matrix.as_int_matrix()
+        power = step = IntMatrix(matrix.entries)
         for p in range(1, 9):
             weighted = sum(q * orbit_counts.get(q, 0) for q in range(1, p + 1) if p % q == 0)
-            assert count_period_points(matrix, p) == weighted == power.trace()
-            power = power @ matrix.as_int_matrix()
+            assert count_period_points(matrix, p) == weighted == sum(power.diagonal())
+            power = power @ step
     elapsed = time.perf_counter() - started
     report(6, f"trace counts match weighted orbit enumeration on 50 matrices, {elapsed:.2f} s")
 

@@ -8,7 +8,7 @@ import pytest
 
 import markovshift.cli
 import markovshift.groups
-from markovshift import IntMatrix, VerificationError, ZeroOneMatrix, count_period_points
+from markovshift import IntMatrix, VerificationError, ZeroOneMatrix
 from markovshift.cli import main
 from markovshift.fileio import write_matrix_file
 
@@ -369,7 +369,8 @@ class TestPeriodicCommand:
         assert report["periods"][0]["orbit_representatives"] == ["1", "2"]
 
     def test_fixed_points_match_count_period_points(self, tmp_path, capsys):
-        # the command carries A^q forward; count_period_points squares
+        # the command counts with count_period_points, which squares; the
+        # test carries A^q forward and reads its trace off the diagonal
         rng = random.Random(12)
         matrices = [ZeroOneMatrix.from_rows([[1, 1], [1, 0]]), ZeroOneMatrix.from_rows([[1, 1], [1, 1]])]
         matrices += [random_zero_one(rng, n, density=0.4) for n in (3, 3, 4, 4)]
@@ -379,7 +380,12 @@ class TestPeriodicCommand:
             assert main(["periodic", str(path), "12", "--json"]) == 0
             periods = json.loads(capsys.readouterr().out)["periods"]
             fixed = [p["points_fixed_by_power"] for p in periods]
-            assert fixed == [count_period_points(a, q) for q in range(1, 13)]
+            power = step = IntMatrix(a.entries)
+            traces = []
+            for _ in range(12):
+                traces.append(sum(power.diagonal()))
+                power = power @ step
+            assert fixed == traces
 
 
 class TestErrorReports:

@@ -122,6 +122,19 @@ class TestLocallyConstantFn:
         for cycle in ((1,), (2,), (1, 2, 2)):
             assert orbit_sum(FULL2, fn, cycle) == naive_orbit_sum(FULL2, fn, cycle)
 
+    def test_values_are_read_only(self):
+        fn = LocallyConstantFn(1, {(1,): 1, (2,): -1})
+        assert orbit_sum(FULL2, fn, (1,)) == 1
+        # the window table orbit_sum keeps cannot go stale: the values cannot change
+        with pytest.raises(TypeError):
+            fn.values[(1,)] = 5
+        with pytest.raises(TypeError):
+            del fn.values[(2,)]
+        assert fn.values == {(1,): 1, (2,): -1}
+        assert fn == SIGN_FN
+        for cycle in ((1,), (2,), (1, 2, 2)):
+            assert orbit_sum(FULL2, fn, cycle) == naive_orbit_sum(FULL2, fn, cycle)
+
     def test_evaluation_off_domain_is_an_error(self):
         with pytest.raises(DomainError):
             SIGN_FN.value((3,))

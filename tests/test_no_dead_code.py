@@ -35,7 +35,6 @@ ALLOWED = {
     "LocallyConstantFn.value": (
         "public evaluation on one word, a DomainError off the table; the tests' coboundary reads it"
     ),
-    "count_period_points": "called by the orbits workload in bench/workloads.py",
     "SnfResult.U": "read by bench/tracing.py:_max_bits",
     "SnfResult.V": "read by bench/tracing.py:_max_bits",
     "SnfResult.U_inv": "read by bench/tracing.py:_max_bits",

@@ -11,6 +11,7 @@ import markovshift.realization
 from markovshift import (
     FgAbelianGroup,
     GroupElement,
+    NonNegMatrix,
     PointedGroup,
     PreconditionError,
     ShapeError,
@@ -203,6 +204,25 @@ class TestTailExtension:
             (0, 1, 0),
             (2, 0, 1),
             (1, 0, 5),
+        )
+        # several tails on a base whose rows all differ: a misplaced row or tail shows
+        a = NonNegMatrix(((2, 0, 1), (1, 1, 0), (0, 3, 1)))
+        # states (1,0), (1,1), (1,2), (2,0), (3,0), (3,1); the heads are 0, 3 and 4
+        assert tail_extension(a, (2, 0, 1)).entries == (
+            (0, 1, 0, 0, 0, 0),
+            (0, 0, 1, 0, 0, 0),
+            (2, 0, 0, 0, 1, 0),
+            (1, 0, 0, 1, 0, 0),
+            (0, 0, 0, 0, 0, 1),
+            (0, 0, 0, 3, 1, 0),
+        )
+        # states (1,0), (2,0), (2,1), (2,2), (3,0); the heads are 0, 1 and 4
+        assert tail_extension(a, (0, 2, 0)).entries == (
+            (2, 0, 0, 0, 1),
+            (0, 0, 1, 0, 0),
+            (0, 0, 0, 1, 0),
+            (1, 1, 0, 0, 0),
+            (0, 3, 0, 0, 1),
         )
 
     def test_rejects_non_integer_tail_lengths(self):
