@@ -83,29 +83,25 @@ class LocallyConstantFn:
             raise DomainError("function table does not match the admissible words: " + "; ".join(detail))
         return LocallyConstantFn(window, normalized)
 
-    def value(self, word: Sequence[int]) -> int:
-        key = tuple(word)
-        try:
-            return self.values[key]
-        except KeyError:
-            raise DomainError(f"function is not defined on word {key}") from None
-
 
 def _window_table(a: ZeroOneMatrix, fn: LocallyConstantFn) -> dict[tuple[int, ...], int]:
     """The values of fn keyed by exactly the windows an admissible cycle of a shows.
 
-    The keys come from ``admissible_words``.  Window 1 is keyed by each
-    admissible 2-word (previous symbol, symbol) and takes the value at the
-    symbol; a wider window keeps the admissible words of its width on
-    which fn is defined.  Either way each key holds an allowed transition,
-    its first, and window i of a cycle holds the cyclic transition from
-    symbol i, so a cycle all of whose windows are keys is cyclically
-    admissible.
+    The allowed transitions come from ``admissible_words(a, 2)``.  Window 1
+    is keyed by each transition (previous symbol, symbol) and takes the
+    value at the symbol; a wider window keeps the keys of fn whose
+    consecutive pairs are all transitions, so the table costs the keys and
+    the transitions, not the admissible words of the window's width.
+    Either way each key holds an allowed transition, its first, and window
+    i of a cycle holds the cyclic transition from symbol i, so a cycle all
+    of whose windows are keys is cyclically admissible.
     """
     values = fn.values
+    pairs = admissible_words(a, 2)
     if fn.window == 1:
-        return {(s, t): values[(t,)] for s, t in admissible_words(a, 2) if (t,) in values}
-    return {w: values[w] for w in admissible_words(a, fn.window) if w in values}
+        return {(s, t): values[(t,)] for s, t in pairs if (t,) in values}
+    allowed = set(pairs)
+    return {w: v for w, v in values.items() if all(p in allowed for p in zip(w, w[1:]))}
 
 
 def _windows(c: tuple[int, ...], k: int) -> Iterator[tuple[int, ...]]:

@@ -59,13 +59,6 @@ class IntMatrix:
                 raise ShapeError("all rows must have the same length")
         object.__setattr__(self, "entries", entries)
 
-    @staticmethod
-    def from_rows(rows: Iterable[Iterable[int]]) -> "IntMatrix":
-        entries = tuple(map(tuple, rows))
-        for row in entries:
-            _check_ints("matrix entry", row)
-        return IntMatrix(entries)
-
     @property
     def rows(self) -> int:
         return len(self.entries)

@@ -62,8 +62,12 @@ def least_rotation_period(word: Sequence[int]) -> int:
     return next(p for p in range(1, len(ws) + 1) if ws[p:] + ws[:p] == ws)
 
 
+def int_matrix(rows) -> IntMatrix:
+    return IntMatrix(tuple(map(tuple, rows)))
+
+
 def random_int_matrix(rng: random.Random, rows: int, cols: int, bound: int = 9) -> IntMatrix:
-    return IntMatrix.from_rows(
+    return int_matrix(
         [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
     )
 
@@ -325,7 +329,7 @@ def coboundary(a: ZeroOneMatrix, eta: LocallyConstantFn) -> LocallyConstantFn:
     k = eta.window
     table = {}
     for w in admissible_words(a, k + 1):
-        table[w] = eta.value(w[:k]) - eta.value(w[1:])
+        table[w] = eta.values[w[:k]] - eta.values[w[1:]]
     return LocallyConstantFn(k + 1, table)
 
 

@@ -12,7 +12,7 @@ from markovshift import IntMatrix, VerificationError, ZeroOneMatrix
 from markovshift.cli import main
 from markovshift.fileio import write_matrix_file
 
-from _support import count_calls, random_zero_one
+from _support import count_calls, int_matrix, random_zero_one
 
 FULL2 = "2\n1 1\n1 1\n"
 FULL3 = "3\n1 1 1\n1 1 1\n1 1 1\n"
@@ -182,7 +182,7 @@ class TestInvariantCommand:
         calls = count_calls(monkeypatch, markovshift.groups, "smith_normal_form")
         # the full 3-shift merges to [[3]]: id - B^t = [[-2]] has no unit pivot
         assert main(["invariant", corpus["full3"], "--json"]) == 0
-        assert calls == [IntMatrix.from_rows([[-2]])]
+        assert calls == [int_matrix([[-2]])]
         assert json.loads(capsys.readouterr().out)["k_theory"]["k1_rank"] == 0
         # the golden mean's pivots are all units: no Smith form at all
         calls.clear()

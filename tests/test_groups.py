@@ -11,7 +11,6 @@ from markovshift import (
     DomainError,
     FgAbelianGroup,
     GroupElement,
-    IntMatrix,
     PointedGroup,
     ShapeError,
     decide_coe,
@@ -35,6 +34,7 @@ from _support import (
     elementary_automorphisms,
     elements,
     identity,
+    int_matrix,
     literal_automorphism_tuples,
     mul_vector,
     orbit_brute_force,
@@ -46,7 +46,7 @@ from _support import (
     solve_linear,
 )
 
-FULL3_RELATION = IntMatrix.from_rows([[0, -1, -1], [-1, 0, -1], [-1, -1, 0]])
+FULL3_RELATION = int_matrix([[0, -1, -1], [-1, 0, -1], [-1, -1, 0]])
 TRIVIAL = FgAbelianGroup(0)
 
 
@@ -68,7 +68,7 @@ class TestCanonicalForm:
         def cyclic_sum(orders):
             n = len(orders)
             diagonal = [[d if i == j else 0 for j in range(n)] for i, d in enumerate(orders)]
-            group, _, _ = from_presentation(IntMatrix.from_rows(diagonal), (0,) * n)
+            group, _, _ = from_presentation(int_matrix(diagonal), (0,) * n)
             return group
 
         assert cyclic_sum([8, 5]).torsion_factors == (40,)
@@ -87,7 +87,7 @@ class TestFromPresentation:
         assert from_presentation(identity(3), (1, 2, 3)) == (TRIVIAL, GroupElement(), 1)
 
     def test_unimodular_gives_trivial(self):
-        assert from_presentation(IntMatrix.from_rows([[0, -1], [-1, 0]]), (1, 1)) == (TRIVIAL, GroupElement(), -1)
+        assert from_presentation(int_matrix([[0, -1], [-1, 0]]), (1, 1)) == (TRIVIAL, GroupElement(), -1)
 
     def test_full_three_shift(self):
         z2 = FgAbelianGroup(0, (2,))
@@ -132,9 +132,9 @@ class TestFromPresentation:
         blocks = count_calls(monkeypatch, markovshift.groups, "smith_normal_form")
         # every pivot of FULL3_RELATION is -1 but the last, 2
         from_presentation(FULL3_RELATION, (1, 1, 1))
-        assert blocks == [IntMatrix.from_rows([[2]])]
+        assert blocks == [int_matrix([[2]])]
         blocks.clear()
-        from_presentation(IntMatrix.from_rows([[0, -1], [-1, 0]]), (1, 1))
+        from_presentation(int_matrix([[0, -1], [-1, 0]]), (1, 1))
         assert blocks == []
 
 

@@ -7,7 +7,6 @@ import markovshift.intmat
 import markovshift.shifts
 from markovshift import (
     FgAbelianGroup,
-    IntMatrix,
     MarkovInvariant,
     NonNegMatrix,
     PointedGroup,
@@ -38,6 +37,7 @@ from _support import (
     count_calls,
     elements,
     identity_minus,
+    int_matrix,
     invariant_unmerged,
     kernel_basis,
     presentation_by_smith_form,
@@ -291,7 +291,7 @@ class TestAgainstOneSmithForm:
                 rows[i] = [int(t == i) + x for t, x in enumerate(r)]
                 rows[j] = [int(t == j) + x for t, x in enumerate(r)]
             # id - A^t
-            m = IntMatrix.from_rows([[int(s == t) - rows[t][s] for t in range(n)] for s in range(n)])
+            m = int_matrix([[int(s == t) - rows[t][s] for t in range(n)] for s in range(n)])
             _, _, det = self.assert_agrees(m, blocks)
             singular += det == 0
         assert singular >= 120

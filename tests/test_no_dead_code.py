@@ -1,13 +1,15 @@
-"""Every function, class and method of the package has a caller in the package.
+"""Every function, class and method of the package has a reader in the package or in bench/.
 
 The sources under ``src/markovshift`` are parsed, not imported.  A
 module-level function or class is used when its bare name is read
 somewhere outside its own definition; ``__init__.py`` does not count, so
 an export alone keeps nothing alive.  A method is used when an attribute
-access ``.name`` outside its own definition reads it, with two limits:
+access ``.name`` outside its own definition reads it, with three limits:
 
 - an access on ``self`` counts only for methods of the enclosing class
   and of the classes related to it by inheritance;
+- an access ``C.name`` on a package class ``C`` counts the same way, for
+  ``C`` and the classes related to it;
 - an access on a builtin type, or on a name the same function binds to a
   set, list or dict, counts for nothing, so ``seen.add`` in a graph search
   does not keep a method called ``add`` alive.
@@ -15,30 +17,28 @@ access ``.name`` outside its own definition reads it, with two limits:
 Other receivers are not typed, so two methods of one name in unrelated
 classes keep each other alive.  Dunder methods are called by the language
 and are exempt.
+
+The benchmark reads some names on purpose, and its reads count too.  They
+come from the ``bench/`` sources, parsed by the helpers of
+``test_bench_names``: the functions of ``TRACED`` in ``bench/tracing.py``,
+the attributes ``_max_bits`` reads off a Smith form (typed to the class
+``smith_normal_form`` returns), and the ``markovshift`` attributes that
+the files of ``ALIAS_READERS`` read.  A name ``bench/`` stops reading is
+reported like any other.
 """
 
 import ast
 from pathlib import Path
 
+import pytest
+
+from test_bench_names import ALIAS_READERS, aliased_names, smith_form_reads, traced_functions
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "markovshift"
 
-# definitions without a caller in the package, and why each stays
+# definitions without a reader, and why each stays
 ALLOWED = {
     "_Parser.error": "the override argparse calls for every command line it refuses",
-    "UndecidedError": "read by bench/run.py and bench/workloads.py",
-    "determinant": "wrapped by bench/tracing.py; the tests' Bareiss reference",
-    "edge_shift": (
-        "builds the classify workload's inputs in bench/workloads.py; wrapped by bench/tracing.py; "
-        "the tests' recoding reference"
-    ),
-    "higher_block": "called by the orbits workload in bench/workloads.py",
-    "LocallyConstantFn.value": (
-        "public evaluation on one word, a DomainError off the table; the tests' coboundary reads it"
-    ),
-    "SnfResult.U": "read by bench/tracing.py:_max_bits",
-    "SnfResult.V": "read by bench/tracing.py:_max_bits",
-    "SnfResult.U_inv": "read by bench/tracing.py:_max_bits",
-    "SnfResult.V_inv": "read by bench/tracing.py:_max_bits",
 }
 
 BUILTIN_RECEIVERS = frozenset({"dict", "frozenset", "int", "list", "set", "str", "tuple"})
@@ -87,8 +87,8 @@ def containers(func: ast.FunctionDef) -> frozenset:
     return BUILTIN_RECEIVERS | names
 
 
-def uses(tree: ast.Module) -> list[tuple[str, bool, tuple[str, ...], str | None]]:
-    """(name, read as an attribute, keys of the enclosing definitions, class of self)."""
+def uses(tree: ast.Module, classes) -> list[tuple[str, bool, tuple[str, ...], str | None]]:
+    """(name, read as an attribute, keys of the enclosing definitions, class of the receiver)."""
     out = []
 
     def walk(node, keys, cls, bound):
@@ -108,6 +108,8 @@ def uses(tree: ast.Module) -> list[tuple[str, bool, tuple[str, ...], str | None]
                 receiver = child.value.id if isinstance(child.value, ast.Name) else None
                 if receiver == "self":
                     out.append((child.attr, True, k, c))
+                elif receiver in classes:
+                    out.append((child.attr, True, k, receiver))
                 elif receiver not in b:
                     out.append((child.attr, True, k, None))
             walk(child, k, c, b)
@@ -116,13 +118,28 @@ def uses(tree: ast.Module) -> list[tuple[str, bool, tuple[str, ...], str | None]
     return out
 
 
+def bench_reads(parsed: list[ast.Module]) -> list[tuple[str, bool, tuple[str, ...], str | None]]:
+    """The package names bench/ reads, in the form ``uses`` gives, read outside every definition."""
+    smith_form = next(
+        node.returns.id
+        for tree in parsed
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "smith_normal_form"
+    )
+    return (
+        [(func, False, (), None) for _, func in traced_functions()]
+        + [(attr, True, (), smith_form) for attr in smith_form_reads()]
+        + [(attr, False, (), None) for name in ALIAS_READERS for _, attr in aliased_names(name)]
+    )
+
+
 def uncalled() -> list[str]:
     parsed = trees()
     keys = [key for tree in parsed for key in definitions(tree)]
-    reads = [use for tree in parsed for use in uses(tree)]
     parents = {}
     for tree in parsed:
         parents.update(bases(tree))
+    reads = [use for tree in parsed for use in uses(tree, parents)] + bench_reads(parsed)
 
     def ancestors(cls):
         seen, stack = set(), [cls]
@@ -142,8 +159,8 @@ def uncalled() -> list[str]:
             read == name
             and key not in enclosing
             and (is_attr if cls else not is_attr)
-            and (self_cls is None or related(self_cls, cls))
-            for read, is_attr, enclosing, self_cls in reads
+            and (receiver is None or related(receiver, cls))
+            for read, is_attr, enclosing, receiver in reads
         )
 
     return [key for key in keys if not used(key)]
@@ -155,3 +172,36 @@ def test_every_definition_has_a_caller():
 
 def test_allowlist_names_only_uncalled_definitions():
     assert sorted(set(ALLOWED) - set(uncalled())) == []
+
+
+# A and B both define from_rows, and C inherits B's
+TWO_CLASSES = """
+class A:
+    def from_rows(self): ...
+
+class B:
+    def from_rows(self): ...
+
+class C(B):
+    pass
+
+def build():
+    return {reader}.from_rows()
+
+KINDS = (A, C, build)
+"""
+
+
+@pytest.mark.parametrize("reader", ["B", "C"])
+def test_a_class_read_counts_for_its_own_family(monkeypatch, reader):
+    monkeypatch.setitem(globals(), "trees", lambda: [ast.parse(TWO_CLASSES.format(reader=reader))])
+    monkeypatch.setitem(globals(), "bench_reads", lambda parsed: [])
+    assert uncalled() == ["A.from_rows"]
+
+
+@pytest.mark.parametrize("read, key", [("higher_block", "higher_block"), ("U", "SnfResult.U")])
+def test_a_name_only_bench_reads_is_kept_while_bench_reads_it(monkeypatch, read, key):
+    assert key not in uncalled()
+    reads = bench_reads
+    monkeypatch.setitem(globals(), "bench_reads", lambda parsed: [r for r in reads(parsed) if r[0] != read])
+    assert key in uncalled()
