@@ -18,6 +18,7 @@ admissibility check and the lookups in ``values``, which name the error.
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping, Sequence
+from itertools import islice
 from types import MappingProxyType
 
 from ._value import frozen
@@ -25,6 +26,7 @@ from .errors import DomainError, InadmissibleWordError, VerificationError
 from .intmat import _check_ints
 from .shifts import (
     ZeroOneMatrix,
+    _adjacency,
     _check_count,
     admissible_words,
     block_graph,
@@ -65,23 +67,84 @@ class LocallyConstantFn:
 
     @staticmethod
     def over(a: ZeroOneMatrix, window: int, table: Mapping[Sequence[int], int]) -> "LocallyConstantFn":
-        """Build a function and check its table covers exactly the admissible words."""
+        """Build a function and check its table covers exactly the admissible words.
+
+        Only a table with as many keys as there are admissible words
+        (``_word_count``) is compared with their list, which then costs no
+        more than the table.  Any other table is named from its keys, that
+        count and a walk to the first three missing words.
+        """
         _check_count("window", window)
         normalized = {tuple(w): v for w, v in table.items()}
         for w in normalized:
             _check_ints("word symbol", w)
-        expected = set(admissible_words(a, window))
+        count = _word_count(a, window)
         given = set(normalized)
-        if given != expected:
-            missing = sorted(expected - given)
+        if len(given) == count:
+            expected = set(admissible_words(a, window))
             extra = sorted(given - expected)
+            missing = sorted(expected - given)[:3]
+        else:
+            # a key is admissible when it has the window's width, starts at a
+            # state and takes a transition at each step, as _window_table reads them
+            allowed = set(admissible_words(a, 2))
+            states = range(1, a.size + 1)
+            extra = sorted(
+                w
+                for w in given
+                if not (len(w) == window and w[0] in states and all(p in allowed for p in zip(w, w[1:])))
+            )
+            missing = list(islice(_words_missing_from(a, window, given), 3))
+        if missing or extra:
             detail = []
             if missing:
-                detail.append(f"missing {len(missing)} admissible words, e.g. {missing[:3]}")
+                # len(given) - len(extra) keys are admissible words; the rest of count is missing
+                detail.append(f"missing {_decimal(count - len(given) + len(extra))} admissible words, e.g. {missing}")
             if extra:
                 detail.append(f"{len(extra)} keys are not admissible words, e.g. {extra[:3]}")
             raise DomainError("function table does not match the admissible words: " + "; ".join(detail))
         return LocallyConstantFn(window, normalized)
+
+
+def _word_count(a: ZeroOneMatrix, k: int) -> int:
+    """The number of admissible k-words: paths of k - 1 steps, one vector step per symbol."""
+    adj = _adjacency(a)
+    # paths[s]: the admissible words of the length reached so far that start at state s
+    paths = [1] * a.size
+    for _ in range(k - 1):
+        paths = [sum(map(paths.__getitem__, row)) for row in adj]
+    return sum(paths)
+
+
+def _words_missing_from(a: ZeroOneMatrix, k: int, given: set) -> Iterator[tuple[int, ...]]:
+    """The admissible k-words not in given, in lexicographic order.
+
+    A depth-first walk that keeps one word and one iterator of successors
+    per symbol of it, so its memory is O(k) however many words it passes.
+    No row of a is zero, so every prefix it takes extends to a k-word.
+    """
+    successors = [[t + 1 for t in row] for row in _adjacency(a)]
+    word: list[int] = []
+    branches = [iter(range(1, a.size + 1))]
+    while branches:
+        s = next(branches[-1], None)
+        if s is None:
+            branches.pop()
+            if word:
+                word.pop()
+        elif len(word) + 1 == k:
+            w = (*word, s)
+            if w not in given:
+                yield w
+        else:
+            word.append(s)
+            branches.append(iter(successors[s - 1]))
+
+
+def _decimal(n: int) -> str:
+    """n >= 0 in decimal, 4,000 digits at a time: Python 3.11's str() refuses more than 4,300."""
+    head, tail = divmod(n, 10**4000)
+    return f"{_decimal(head)}{tail:04000}" if head else str(tail)
 
 
 def _window_table(a: ZeroOneMatrix, fn: LocallyConstantFn) -> dict[tuple[int, ...], int]:
@@ -150,15 +213,16 @@ def orbit_sum(a: ZeroOneMatrix, fn: LocallyConstantFn, cycle: Sequence[int]) -> 
             # a float, Fraction or Decimal.  On the census words of the orbits
             # workload this test keeps the lookups at 0.65 of the time of the
             # checked path, against 0.75 when testing the type of each symbol
-            # and 0.61 with no test
-            if type(sum(c)) is int:
+            # and 0.61 with no test.  An int subclass whose sum is of its own
+            # type is an int symbol all the same, which the full check accepts
+            if type(sum(c)) is int or is_cyclically_admissible(a, c):
                 return total
     if not is_cyclically_admissible(a, c):
         raise InadmissibleWordError(f"cycle {c} is not cyclically admissible")
-    try:
-        return sum(map(fn.values.__getitem__, _windows(c, k)))
-    except KeyError as exc:
-        raise DomainError(f"function is not defined on word {exc.args[0]}") from None
+    # every hit on an admissible cycle returned above, and the table holds
+    # every key of fn such a cycle can show, so some window of c is missing
+    missing = next(w for w in _windows(c, k) if w not in fn.values)
+    raise DomainError(f"function is not defined on word {missing}")
 
 
 @frozen
@@ -219,6 +283,9 @@ def _negative_cycle(adj: list[list[int]], weight: list[int]) -> list[int] | None
     raise VerificationError("relaxation reported a negative cycle but left no trail")
 
 
+_MISMATCH = "function table does not match the admissible words of the matrix"
+
+
 def is_positive_class(a: ZeroOneMatrix, fn: LocallyConstantFn) -> PositivityResult:
     """Decide whether the class of the function lies in the positive cone.
 
@@ -234,17 +301,17 @@ def is_positive_class(a: ZeroOneMatrix, fn: LocallyConstantFn) -> PositivityResu
     total as negative.
     """
     require_classifiable(a)
-    words, successors = block_graph(a, fn.window)
     values = fn.values
+    # the count lists no words; a table of that size holding each word holds no other
+    if len(values) != _word_count(a, fn.window):
+        raise DomainError(_MISMATCH)
+    words, successors = block_graph(a, fn.window)
     # subscripts, not the view's bound methods: through a MappingProxyType
     # those cost twice as much per word
     try:
         weight = [values[w] for w in words]
     except KeyError:
-        weight = None
-    # the words are distinct, so a table with as many keys that holds each of them holds no other
-    if weight is None or len(values) != len(words):
-        raise DomainError("function table does not match the admissible words of the matrix")
+        raise DomainError(_MISMATCH) from None
     # A is irreducible, so the k-block graph is strongly connected: one search reaches every cycle
     cycle = _negative_cycle(successors, weight)
     if cycle is None:

@@ -10,10 +10,15 @@ no record, carrying one vector along; the Smith form then runs on the
 block that is left, which has no entry +-1.
 
 The Smith form skips updates that would add zero, which changes no pivot,
-operation or result (see ``smith_normal_form``).  That pays even on the
-small, nearly dense blocks the unit-pivot pass leaves: a column operation
-updates only the rows where column t is nonzero, after the row pass just
-row t; updating every row ran 30-50 % slower.
+operation or result (see ``smith_normal_form``).  That does not pay on the
+small, nearly dense blocks the unit-pivot pass leaves: on the 600 Smith
+forms the ``classify`` and ``realize`` benchmark workloads run at seed 7,
+whole-row updates gave the same D and operation record in the same time,
+about 0.09 s for all 600 (2-core VM, Python 3.11).  It pays on a whole
+relation matrix with +-1 pivots, which a direct caller may pass: at 1,023
+states whole-row updates took 21-24 s against 0.7-0.8 s.  The column side
+pays there, where a column operation updates only the rows where column t
+is nonzero (``live``); skipping on the row side alone still took 22-24 s.
 """
 
 from __future__ import annotations
@@ -184,7 +189,10 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     the rows where column t is nonzero, and adding a multiple of a row
     touches only the columns where that row is nonzero.  Every skipped
     update would add zero, so D and the recorded operations are those of
-    the full updates.
+    the full updates.  The skipping is kept for whole relation matrices,
+    whose +-1 pivots leave column t sparse: at 1,023 states it takes 0.7-0.8 s
+    against 21-24 s with whole-row updates.  On the blocks the unit-pivot pass
+    leaves it neither pays nor costs (the module docstring has the figures).
     A pivot of +-1 divides every entry, so its divisibility scan is skipped.
     """
     r, c = m.rows, m.cols

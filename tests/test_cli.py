@@ -3,12 +3,23 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
 import markovshift.cli
 import markovshift.groups
-from markovshift import IntMatrix, VerificationError, ZeroOneMatrix
+from markovshift import (
+    FgAbelianGroup,
+    IntMatrix,
+    PointedGroup,
+    VerificationError,
+    ZeroOneMatrix,
+    base_matrix,
+    edge_shift,
+    pointed_is_isomorphic,
+    tail_extension,
+)
 from markovshift.cli import main
 from markovshift.fileio import write_matrix_file
 
@@ -21,12 +32,22 @@ PERMUTATION = "2\n0 1\n1 0\n"
 SIGN_FN = "window 1\n1 1\n2 -1\n"
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "markovshift", *args],
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
+
+
+def realize_and_read(target, realize_args, *invariant_flags):
+    """The states of realize -o target and the report of invariant on it, both within 30 s together."""
+    deadline = time.monotonic() + 30
+    assert run_cli("realize", *realize_args, "-o", str(target), timeout=30).returncode == 0
+    read = run_cli("invariant", str(target), *invariant_flags, timeout=deadline - time.monotonic())
+    assert read.returncode == 0
+    return int(target.read_text().split()[0]), read.stdout
 
 
 @pytest.fixture
@@ -199,6 +220,17 @@ class TestInvariantCommand:
         out = run_cli("invariant", corpus["perm"])
         assert out.returncode == 2
 
+    def test_large_file_read(self, tmp_path):
+        # the 1,023-state edge shift of the diagonal base for Z/1009: parsing
+        # and the input checks are whole-row passes (about 0.35 s in all)
+        matrix = edge_shift(tail_extension(base_matrix((0, 1009, 1)), (0, 1, 0)))
+        assert matrix.size == 1023
+        target = tmp_path / "big.txt"
+        write_matrix_file(target, matrix)
+        out = run_cli("invariant", str(target), timeout=10)
+        assert out.returncode == 0
+        assert "group: Z/1009" in out.stdout.splitlines()
+
 
 class TestEquivalenceCommands:
     def test_coe_equivalent_pair(self, corpus):
@@ -287,6 +319,30 @@ class TestRealizeCommand:
         assert report["verification"]["matched"] is True
         assert report["verification"]["invariant"]["group"] == "Z + Z/3 + Z/3 + Z/3 + Z/3 + Z/3 + Z/3"
 
+    def test_cyclic_plan_round_trips_through_a_file(self, tmp_path):
+        # Z/1009 takes the cyclic 2x2 base: 64 states in its out-splitting,
+        # against 82 in the edge shift and 1,017 on the diagonal base
+        cyclic = ["--torsion", "1009", "--point", "1008", "--sign", "-1"]
+        states, report = realize_and_read(tmp_path / "big.txt", cyclic)
+        assert states <= 70
+        assert "group: Z/1009" in report.splitlines()
+
+    def test_diagonal_plan_round_trips_through_a_file(self, tmp_path):
+        # a group with free rank takes the diagonal base, whose tails have a
+        # closed form: 54 states in its out-splitting, against 126 in the edge shift
+        states, report = realize_and_read(
+            tmp_path / "d.txt",
+            ["--free-rank", "2", "--torsion", "2,12,360", "--point", "3,-6,1,5,77", "--sign", "0"],
+            "--json",
+        )
+        inv = json.loads(report)["invariant"]
+        assert inv["group"] == "Z^2 + Z/2 + Z/12 + Z/360"
+        group = FgAbelianGroup(2, (2, 12, 360))
+        got = group.element(inv["point_free"], inv["point_torsion"])
+        want = group.element((3, -6), (1, 5, 77))
+        assert pointed_is_isomorphic(PointedGroup(group, got), PointedGroup(group, want))
+        assert states <= 60
+
     def test_infinite_needs_sign_zero(self):
         out = run_cli("realize", "--free-rank", "1", "--sign", "1")
         assert out.returncode == 2
@@ -344,6 +400,17 @@ class TestPositivityCommand:
         fn = tmp_path / "short.txt"
         fn.write_text("window 1\n1 1\n")
         assert run_cli("positivity", corpus["full2"], str(fn)).returncode == 2
+
+    def test_a_wide_empty_table_is_refused_without_listing_words(self, corpus, tmp_path):
+        # the 2^40 admissible 40-words would not fit in memory
+        fn = tmp_path / "wide.txt"
+        fn.write_text("window 40\n")
+        out = run_cli("positivity", corpus["full2"], str(fn), "--json", timeout=10)
+        assert out.returncode == 2
+        error = json.loads(out.stdout)["error"]
+        assert error["kind"] == "invalid_input"
+        first = [(1,) * 40, (1,) * 39 + (2,), (1,) * 38 + (2, 1)]
+        assert f"missing 1099511627776 admissible words, e.g. {first}" in error["message"]
 
 
 class TestPeriodicCommand:

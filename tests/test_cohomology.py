@@ -75,6 +75,36 @@ class TestLocallyConstantFn:
         with pytest.raises(DomainError):
             LocallyConstantFn.over(FULL2, 1, {(1,): 1, (2,): 0, (3,): 2})
 
+    def test_a_wrong_table_is_named_without_listing_the_words(self, monkeypatch):
+        # the 2^40 admissible 40-words are counted, and the walk to the first
+        # three missing ones stops there
+        enumerate_words = cohomology.admissible_words
+
+        def short_words_only(a, k):
+            assert k <= 2, f"listed the admissible {k}-words"
+            return enumerate_words(a, k)
+
+        monkeypatch.setattr(cohomology, "admissible_words", short_words_only)
+        prefix = "function table does not match the admissible words: "
+        first = [(1,) * 40, (1,) * 39 + (2,), (1,) * 38 + (2, 1)]
+        message = f"{prefix}missing 1099511627776 admissible words, e.g. {first}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            LocallyConstantFn.over(FULL2, 40, {})
+        # one admissible key, one too short and one off the alphabet
+        table = {(1,) * 40: 0, (1,) * 39: 0, (3,) * 40: 0}
+        message = f"{prefix}missing 1099511627775 admissible words, e.g. {first[1:] + [(1,) * 38 + (2, 2)]}; "
+        message += f"2 keys are not admissible words, e.g. {[(1,) * 39, (3,) * 40]}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            LocallyConstantFn.over(FULL2, 40, table)
+
+    def test_a_missing_count_past_the_str_digit_limit_is_named(self):
+        # 2^15000 has 4,516 digits, more than Python 3.11's str() converts;
+        # its digits are checked 4,000 at a time for the same reason
+        with pytest.raises(DomainError) as raised:
+            LocallyConstantFn.over(FULL2, 15000, {})
+        digits = re.search(r"missing (\d+) admissible words", str(raised.value)).group(1)
+        assert (int(digits[:-4000]), int(digits[-4000:])) == divmod(2**15000, 10**4000)
+
     def test_non_integer_value_rejected_not_truncated(self):
         # truncated, this table would be all zeros and read as positive
         with pytest.raises(ShapeError, match="function value 0.5 is not an integer"):
@@ -213,6 +243,18 @@ class TestOrbitSum:
         fn = LocallyConstantFn(2, {(1.0, 1): 5, (1, 2): 1, (2, 1): 2, (2, 2): -7})
         assert orbit_sum(FULL2, fn, (True,)) == 5
         assert orbit_sum(FULL2, fn, (True, 2)) == 3
+
+    def test_int_subclass_symbols_read_as_ints(self):
+        # the sum of these symbols is not an int, as with floats, yet each is an int
+        class Symbol(int):
+            def __add__(self, other):
+                return Symbol(int(self) + other)
+
+            __radd__ = __add__
+
+        cycle = (Symbol(1), Symbol(2))
+        for fn in (SIGN_FN, constant_fn(FULL2, 1, window=2)):
+            assert orbit_sum(FULL2, fn, cycle) == naive_orbit_sum(FULL2, fn, (1, 2))
 
     def test_table_lookups_match_the_checked_oracle(self):
         rng = random.Random(2202)
@@ -375,6 +417,14 @@ class TestIsPositiveClass:
             fn = LocallyConstantFn(2, {w: 0 for w in keys})
             with pytest.raises(DomainError, match="^function table does not match the admissible words of the matrix$"):
                 is_positive_class(m, fn)
+
+    def test_a_table_of_the_wrong_size_builds_no_block_graph(self, monkeypatch):
+        def unbuilt(a, k):
+            raise AssertionError(f"built the {k}-block graph")
+
+        monkeypatch.setattr(cohomology, "block_graph", unbuilt)
+        with pytest.raises(DomainError, match="^function table does not match the admissible words of the matrix$"):
+            is_positive_class(FULL2, LocallyConstantFn(40, {}))
 
 
 def random_block_graphs(seed: int, count: int):
