@@ -69,41 +69,35 @@ class LocallyConstantFn:
     def over(a: ZeroOneMatrix, window: int, table: Mapping[Sequence[int], int]) -> "LocallyConstantFn":
         """Build a function and check its table covers exactly the admissible words.
 
-        Only a table with as many keys as there are admissible words
-        (``_word_count``) is compared with their list, which then costs no
-        more than the table.  Any other table is named from its keys, that
-        count and a walk to the first three missing words.
+        The table is read from its keys and a count of the admissible words
+        (``_word_count``), so no list of them is built: a key is admissible
+        when it has the window's width, starts at a state and takes a
+        transition at each step.  Only a table that misses some word walks
+        to the first three it misses.
         """
         _check_count("window", window)
         normalized = {tuple(w): v for w, v in table.items()}
         for w in normalized:
             _check_ints("word symbol", w)
-        count = _word_count(a, window)
-        given = set(normalized)
-        if len(given) == count:
-            expected = set(admissible_words(a, window))
-            extra = sorted(given - expected)
-            missing = sorted(expected - given)[:3]
-        else:
-            # a key is admissible when it has the window's width, starts at a
-            # state and takes a transition at each step, as _window_table reads them
-            allowed = set(admissible_words(a, 2))
-            states = range(1, a.size + 1)
-            extra = sorted(
-                w
-                for w in given
-                if not (len(w) == window and w[0] in states and all(p in allowed for p in zip(w, w[1:])))
-            )
-            missing = list(islice(_words_missing_from(a, window, given), 3))
+        allowed = set(admissible_words(a, 2))
+        states = range(1, a.size + 1)
+        extra = sorted(w for w in normalized if not (len(w) == window and w[0] in states and _is_path(allowed, w)))
+        # len(normalized) - len(extra) keys are admissible words; the rest of the count is missing
+        absent = _word_count(a, window) - len(normalized) + len(extra)
+        missing = list(islice(_words_missing_from(a, window, normalized), 3)) if absent else []
         if missing or extra:
             detail = []
             if missing:
-                # len(given) - len(extra) keys are admissible words; the rest of count is missing
-                detail.append(f"missing {_decimal(count - len(given) + len(extra))} admissible words, e.g. {missing}")
+                detail.append(f"missing {_decimal(absent)} admissible words, e.g. {missing}")
             if extra:
                 detail.append(f"{len(extra)} keys are not admissible words, e.g. {extra[:3]}")
             raise DomainError("function table does not match the admissible words: " + "; ".join(detail))
         return LocallyConstantFn(window, normalized)
+
+
+def _is_path(allowed: set[tuple[int, int]], w: tuple[int, ...]) -> bool:
+    """Whether each consecutive pair of w is a transition, one of the set allowed."""
+    return allowed.issuperset(zip(w, w[1:]))
 
 
 def _word_count(a: ZeroOneMatrix, k: int) -> int:
@@ -116,7 +110,7 @@ def _word_count(a: ZeroOneMatrix, k: int) -> int:
     return sum(paths)
 
 
-def _words_missing_from(a: ZeroOneMatrix, k: int, given: set) -> Iterator[tuple[int, ...]]:
+def _words_missing_from(a: ZeroOneMatrix, k: int, given: Mapping) -> Iterator[tuple[int, ...]]:
     """The admissible k-words not in given, in lexicographic order.
 
     A depth-first walk that keeps one word and one iterator of successors
@@ -164,7 +158,7 @@ def _window_table(a: ZeroOneMatrix, fn: LocallyConstantFn) -> dict[tuple[int, ..
     if fn.window == 1:
         return {(s, t): values[(t,)] for s, t in pairs if (t,) in values}
     allowed = set(pairs)
-    return {w: v for w, v in values.items() if all(p in allowed for p in zip(w, w[1:]))}
+    return {w: v for w, v in values.items() if _is_path(allowed, w)}
 
 
 def _windows(c: tuple[int, ...], k: int) -> Iterator[tuple[int, ...]]:
@@ -213,16 +207,15 @@ def orbit_sum(a: ZeroOneMatrix, fn: LocallyConstantFn, cycle: Sequence[int]) -> 
             # a float, Fraction or Decimal.  On the census words of the orbits
             # workload this test keeps the lookups at 0.65 of the time of the
             # checked path, against 0.75 when testing the type of each symbol
-            # and 0.61 with no test.  An int subclass whose sum is of its own
-            # type is an int symbol all the same, which the full check accepts
-            if type(sum(c)) is int or is_cyclically_admissible(a, c):
+            # and 0.61 with no test
+            if type(sum(c)) is int:
                 return total
     if not is_cyclically_admissible(a, c):
         raise InadmissibleWordError(f"cycle {c} is not cyclically admissible")
-    # every hit on an admissible cycle returned above, and the table holds
-    # every key of fn such a cycle can show, so some window of c is missing
-    missing = next(w for w in _windows(c, k) if w not in fn.values)
-    raise DomainError(f"function is not defined on word {missing}")
+    try:
+        return sum(map(fn.values.__getitem__, _windows(c, k)))
+    except KeyError as exc:
+        raise DomainError(f"function is not defined on word {exc.args[0]}") from None
 
 
 @frozen

@@ -41,15 +41,6 @@ def run_cli(*args, timeout=None):
     )
 
 
-def realize_and_read(target, realize_args, *invariant_flags):
-    """The states of realize -o target and the report of invariant on it, both within 30 s together."""
-    deadline = time.monotonic() + 30
-    assert run_cli("realize", *realize_args, "-o", str(target), timeout=30).returncode == 0
-    read = run_cli("invariant", str(target), *invariant_flags, timeout=deadline - time.monotonic())
-    assert read.returncode == 0
-    return int(target.read_text().split()[0]), read.stdout
-
-
 @pytest.fixture
 def corpus(tmp_path):
     paths = {}
@@ -319,29 +310,37 @@ class TestRealizeCommand:
         assert report["verification"]["matched"] is True
         assert report["verification"]["invariant"]["group"] == "Z + Z/3 + Z/3 + Z/3 + Z/3 + Z/3 + Z/3"
 
-    def test_cyclic_plan_round_trips_through_a_file(self, tmp_path):
-        # Z/1009 takes the cyclic 2x2 base: 64 states in its out-splitting,
-        # against 82 in the edge shift and 1,017 on the diagonal base
-        cyclic = ["--torsion", "1009", "--point", "1008", "--sign", "-1"]
-        states, report = realize_and_read(tmp_path / "big.txt", cyclic)
-        assert states <= 70
-        assert "group: Z/1009" in report.splitlines()
-
-    def test_diagonal_plan_round_trips_through_a_file(self, tmp_path):
-        # a group with free rank takes the diagonal base, whose tails have a
-        # closed form: 54 states in its out-splitting, against 126 in the edge shift
-        states, report = realize_and_read(
-            tmp_path / "d.txt",
-            ["--free-rank", "2", "--torsion", "2,12,360", "--point", "3,-6,1,5,77", "--sign", "0"],
-            "--json",
-        )
-        inv = json.loads(report)["invariant"]
-        assert inv["group"] == "Z^2 + Z/2 + Z/12 + Z/360"
-        group = FgAbelianGroup(2, (2, 12, 360))
-        got = group.element(inv["point_free"], inv["point_torsion"])
-        want = group.element((3, -6), (1, 5, 77))
-        assert pointed_is_isomorphic(PointedGroup(group, got), PointedGroup(group, want))
-        assert states <= 60
+    @pytest.mark.parametrize(
+        "args, group, point, states",
+        [
+            # Z/1009 takes the cyclic 2x2 base: 64 states in its out-splitting,
+            # against 82 in the edge shift and 1,017 on the diagonal base
+            (["--torsion", "1009", "--point", "1008", "--sign", "-1"], "Z/1009", ((), (1008,)), 70),
+            # a group with free rank takes the diagonal base, whose tails have a
+            # closed form: 54 states in its out-splitting, against 126 in the edge shift
+            (
+                ["--free-rank", "2", "--torsion", "2,12,360", "--point", "3,-6,1,5,77", "--sign", "0"],
+                "Z^2 + Z/2 + Z/12 + Z/360",
+                ((3, -6), (1, 5, 77)),
+                60,
+            ),
+        ],
+        ids=["cyclic", "diagonal"],
+    )
+    def test_plan_round_trips_through_a_file(self, tmp_path, args, group, point, states):
+        # realize -o, then invariant on the file, both within 30 s together
+        target = tmp_path / "realized.txt"
+        deadline = time.monotonic() + 30
+        assert run_cli("realize", *args, "-o", str(target), timeout=30).returncode == 0
+        read = run_cli("invariant", str(target), "--json", timeout=deadline - time.monotonic())
+        assert read.returncode == 0
+        report = json.loads(read.stdout)
+        assert report["inputs"]["matrix"]["size"] <= states
+        inv = report["invariant"]
+        assert inv["group"] == group
+        g = FgAbelianGroup(inv["free_rank"], tuple(inv["torsion_factors"]))
+        got = g.element(inv["point_free"], inv["point_torsion"])
+        assert pointed_is_isomorphic(PointedGroup(g, got), PointedGroup(g, g.element(*point)))
 
     def test_infinite_needs_sign_zero(self):
         out = run_cli("realize", "--free-rank", "1", "--sign", "1")
