@@ -10,15 +10,18 @@ the class; the search returns a violating cyclic word as a witness.
 An orbit sum looks each window of the cycle up in a table of the
 function's values keyed by exactly the windows that admissible cycles of
 the matrix show, kept on the function for the last matrix it was read
-over.  A cycle whose windows all hit is cyclically admissible, so the
-lookups are the whole check; a miss falls back to the explicit
-admissibility check and the lookups in ``values``, which name the error.
+over.  Windows 1 and 2 are keyed by previous symbol, then symbol, so a
+cycle is summed symbol by symbol without building a pair per window.  A
+cycle whose windows all hit is cyclically admissible, so the lookups are
+the whole check; a miss falls back to the explicit admissibility check
+and the lookups in ``values``, which name the error.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping, Sequence
 from itertools import islice
+from operator import getitem
 from types import MappingProxyType
 
 from ._value import frozen
@@ -141,22 +144,28 @@ def _decimal(n: int) -> str:
     return f"{_decimal(head)}{tail:04000}" if head else str(tail)
 
 
-def _window_table(a: ZeroOneMatrix, fn: LocallyConstantFn) -> dict[tuple[int, ...], int]:
+def _window_table(a: ZeroOneMatrix, fn: LocallyConstantFn) -> dict[int, dict[int, int]] | dict[tuple[int, ...], int]:
     """The values of fn keyed by exactly the windows an admissible cycle of a shows.
 
-    The allowed transitions come from ``admissible_words(a, 2)``.  Window 1
-    is keyed by each transition (previous symbol, symbol) and takes the
-    value at the symbol; a wider window keeps the keys of fn whose
+    The allowed transitions come from ``admissible_words(a, 2)``.  Windows
+    1 and 2 are keyed by previous symbol, then symbol: a dict per symbol s
+    maps each t with s -> t allowed to the value at (t,), for window 1, or
+    at (s, t), for window 2.  A wider window keeps the keys of fn whose
     consecutive pairs are all transitions, so the table costs the keys and
     the transitions, not the admissible words of the window's width.
-    Either way each key holds an allowed transition, its first, and window
-    i of a cycle holds the cyclic transition from symbol i, so a cycle all
-    of whose windows are keys is cyclically admissible.
+    Either way each lookup reads an allowed transition, and around a cycle
+    those are the cyclic transitions, so a cycle all of whose windows are
+    found is cyclically admissible.
     """
     values = fn.values
     pairs = admissible_words(a, 2)
-    if fn.window == 1:
-        return {(s, t): values[(t,)] for s, t in pairs if (t,) in values}
+    if fn.window <= 2:
+        table: dict[int, dict[int, int]] = {}
+        for s, t in pairs:
+            w = (t,) if fn.window == 1 else (s, t)
+            if w in values:
+                table.setdefault(s, {})[t] = values[w]
+        return table
     allowed = set(pairs)
     return {w: v for w, v in values.items() if _is_path(allowed, w)}
 
@@ -177,15 +186,17 @@ def _windows(c: tuple[int, ...], k: int) -> Iterator[tuple[int, ...]]:
 def orbit_sum(a: ZeroOneMatrix, fn: LocallyConstantFn, cycle: Sequence[int]) -> int:
     """Sum of the function over one period of the periodic point cycle^inf.
 
-    One ``map`` looks up the n windows of the cycle in the function's window
-    table over a (``_window_table``), built on the first call with a and
-    kept on the function until it is read over another matrix.  A window 1
-    is looked up as the pair of symbols that ends at it.  When every window
-    is a key, the cycle is cyclically admissible and in range, so no other
-    check runs.  On a miss the cycle takes the checked path: an
-    inadmissible cycle, a symbol that is not an int and the empty cycle
-    raise ``InadmissibleWordError``, and otherwise the first window missing
-    from ``fn.values`` is named in a ``DomainError``.
+    The n windows of the cycle are looked up in the function's window table
+    over a (``_window_table``), built on the first call with a and kept on
+    the function until it is read over another matrix.  Windows 1 and 2
+    are read symbol by symbol, each from the row of the symbol before it,
+    by two ``map``s and no pair; a wider window is looked up as the tuple
+    of its symbols.  When every window is found, the cycle is cyclically
+    admissible and in range, so no other check runs.  On a miss the cycle
+    takes the checked path: an inadmissible cycle, a symbol that is not an
+    int and the empty cycle raise ``InadmissibleWordError``, and otherwise
+    the first window missing from ``fn.values`` is named in a
+    ``DomainError``.
     """
     c = tuple(cycle)
     k = fn.window
@@ -194,11 +205,13 @@ def orbit_sum(a: ZeroOneMatrix, fn: LocallyConstantFn, cycle: Sequence[int]) -> 
         if over is not a:
             table = _window_table(a, fn)
             object.__setattr__(fn, "_table_over", (a, table))
-        # windows 1 and 2 are both read as the cyclic pairs; zipped without
-        # _windows, since on short cycles its slices cost as much as the lookups
-        windows = zip(c, c[1:] + c[:1]) if k <= 2 else _windows(c, k)
         try:
-            total = sum(map(table.__getitem__, windows))
+            if k <= 2:
+                # windows 1 and 2 are read at each symbol from the row of the
+                # one before it, so no pair is built or hashed
+                total = sum(map(getitem, map(table.__getitem__, c[-1:] + c[:-1]), c))
+            else:
+                total = sum(map(table.__getitem__, _windows(c, k)))
         except (KeyError, TypeError):  # a missing window, or an unhashable symbol
             pass
         else:

@@ -84,11 +84,20 @@ def write_matrix_file(path, matrix) -> None:
         fh.write(format_matrix(matrix))
 
 
+# byte s, for s in 0..9, to the ASCII digit s
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
 def format_words(words, alphabet_size: int) -> list[str]:
-    """Digit strings for alphabets up to 9 symbols, comma-separated numbers beyond."""
+    """Digit strings for alphabets up to 9 symbols, comma-separated numbers beyond.
+
+    A word over at most 9 symbols is read as the bytes of its symbols and
+    translated to digits in one call.
+    """
+    if alphabet_size <= 9:
+        return [bytes(w).translate(_DIGITS).decode("ascii") for w in words]
     names = [str(s) for s in range(alphabet_size + 1)]
-    separator = "" if alphabet_size <= 9 else ","
-    return [separator.join(map(names.__getitem__, w)) for w in words]
+    return [",".join(map(names.__getitem__, w)) for w in words]
 
 
 def parse_word(token: str, alphabet_size: int) -> tuple[int, ...]:

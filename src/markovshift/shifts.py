@@ -251,36 +251,71 @@ def periodic_orbit_words(a: ZeroOneMatrix, max_period: int) -> list[tuple[int, .
 
     Representatives are the lexicographically least rotations of primitive
     cyclically admissible words, listed by increasing length and then
-    lexicographically.  The search walks admissible pre-necklaces, keeping
-    the period of the prefix: extending by the anchor symbol keeps the
-    period, a larger symbol resets it to the new length, a smaller one
-    cannot lead to a minimal rotation.  A word is a primitive minimal
-    rotation exactly when its period equals its length.  Successors are
-    pushed largest first, so words leave the stack in lexicographic order
-    within each length and a stable sort by length finishes the listing.
+    lexicographically.  The search walks admissible pre-necklaces (Ruskey,
+    Savage and Wang 1992), one first symbol at a time, keeping the period
+    of each prefix: extending by the anchor symbol keeps the period, a
+    larger symbol resets it to the new length, a smaller one cannot lead
+    to a minimal rotation.  A word is a primitive minimal rotation exactly
+    when its period equals its length and its last symbol leads back to
+    its first.
+
+    Every symbol of such a word is at least its first, so one reverse
+    breadth-first search over those states gives each state's fewest
+    steps back to the first symbol.  A prefix keeps only the successors
+    that can still close the cycle within max_period; as the prefix
+    grows, the states whose return is too far leave the successor lists,
+    one ring of the search at a time, and a first symbol that cannot
+    return at all is skipped.  The prefixes grow one length at a time,
+    with no recursion, and each length's prefixes stay in lexicographic
+    order, so a stable sort by length finishes the listing.  Besides the
+    words returned, the walk holds the prefixes of one first symbol at
+    two lengths at most, and the last length builds only the words it
+    returns.
     """
     _check_count("period bound", max_period)
     n = a.size
-    rows = a.entries
-    descending_successors = [()] + [
-        tuple(t for t in range(n, 0, -1) if row[t - 1]) for row in rows
-    ]
+    states = range(1, n + 1)
+    successors = [()] + [tuple(compress(states, row)) for row in a.entries]
+    predecessors = [()] + [tuple(compress(states, col)) for col in zip(*a.entries)]
     out: list[tuple[int, ...]] = []
-    for first in range(1, n + 1):
-        closing = {s for s in range(1, n + 1) if rows[s - 1][first - 1]}
-        stack: list[tuple[tuple[int, ...], int]] = [((first,), 1)]
-        while stack:
-            w, p = stack.pop()
-            q = len(w)
-            if p == q and w[-1] in closing:
-                out.append(w)
-            if q == max_period:
-                continue
-            anchor = w[q % p]
-            for s in descending_successors[w[-1]]:
-                if s < anchor:
-                    break
-                stack.append((w + (s,), p if s == anchor else q + 1))
+    for first in states:
+        # steps[s]: the fewest symbols after s that close the cycle through
+        # states >= first; max_period stands for "too many"
+        steps = [max_period] * (n + 1)
+        rings: list[set[int]] = []
+        ring = {s for s in predecessors[first] if s >= first}
+        while ring and len(rings) < max_period:
+            for s in ring:
+                steps[s] = len(rings)
+            rings.append(ring)
+            ring = {s for t in ring for s in predecessors[t] if s >= first and steps[s] == max_period}
+        if steps[first] == max_period:
+            continue
+        succ = [[t for t in successors[s] if steps[t] < max_period] for s in range(n + 1)]
+        if not steps[first]:
+            out.append((first,))
+        layer = [((first,), 1)]
+        for q in range(1, max_period):
+            # the next symbol ends a prefix of q + 1 symbols and may need at
+            # most max_period - q - 1 more: the ring max_period - q leaves now
+            if max_period - q < len(rings):
+                for s in {s for t in rings[max_period - q] for s in predecessors[t]}:
+                    succ[s] = [t for t in succ[s] if steps[t] < max_period - q]
+            if q + 1 == max_period:
+                # every successor left closes the cycle, and a word of full
+                # length is returned exactly when its last symbol sets a new period
+                out += [w + (s,) for w, p in layer for anchor in [w[q % p]] for s in succ[w[-1]] if s > anchor]
+                break
+            layer = [
+                (w + (s,), p if s == anchor else q + 1)
+                for w, p in layer
+                for anchor in [w[q % p]]
+                for s in succ[w[-1]]
+                if s >= anchor
+            ]
+            if not layer:
+                break
+            out += [w for w, p in layer if p > q and not steps[w[-1]]]
     out.sort(key=len)
     return out
 

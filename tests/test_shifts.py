@@ -442,17 +442,54 @@ class TestPeriodicOrbits:
                 assert lex_min_rotation(w) == w
                 assert least_rotation_period(w) == len(w)
 
-    def test_long_cycles_need_no_deep_recursion(self):
-        # 1,050 states in a cycle, with a chord from the last state back to
-        # state 2: its two simple cycles are words of 1,049 and 1,050 symbols,
-        # far deeper than a recursive walk may go
+    @pytest.mark.parametrize(
+        "extra, expected",
+        [
+            # a chord from the last state back to state 2: its two simple
+            # cycles are words of 1,049 and 1,050 symbols
+            ((1049, 1), [tuple(range(2, 1051)), tuple(range(1, 1051))]),
+            # a self-loop at state 1: every prefix 1, ..., 1, 2 but the first
+            # is too far from closing, and no other first symbol closes at all
+            ((0, 0), [(1,), tuple(range(1, 1051))]),
+        ],
+        ids=["chord", "self-loop"],
+    )
+    def test_long_cycles_need_no_deep_recursion(self, extra, expected):
+        # 1,050 states in a cycle, far deeper than a recursive walk may go
         n = 1050
         rows = [[0] * n for _ in range(n)]
         for i in range(n):
             rows[i][(i + 1) % n] = 1
-        rows[n - 1][1] = 1
-        words = periodic_orbit_words(ZeroOneMatrix.from_rows(rows), n)
-        assert words == [tuple(range(2, n + 1)), tuple(range(1, n + 1))]
+        rows[extra[0]][extra[1]] = 1
+        assert periodic_orbit_words(ZeroOneMatrix.from_rows(rows), n) == expected
+
+    @pytest.mark.parametrize("max_period", [1, 2])
+    def test_shortest_bounds_match_naive_enumeration(self, max_period):
+        from _support import naive_periodic_orbit_words
+
+        rng = random.Random(2600 + max_period)
+        for n in range(2, 7):
+            for _ in range(6):
+                m = random_zero_one(rng, n, rng.choice((0.3, 0.5, 0.8)))
+                assert periodic_orbit_words(m, max_period) == naive_periodic_orbit_words(m, max_period)
+
+    @pytest.mark.parametrize(
+        "rows, dead",
+        [
+            # the golden mean: state 2 returns only through state 1
+            ([[1, 1], [1, 0]], {2}),
+            # state 4 leads only to smaller states, and state 3 is entered only from 2
+            ([[1, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 1], [1, 1, 0, 0]], {3, 4}),
+        ],
+        ids=["golden-mean", "top-state-leads-down"],
+    )
+    def test_first_symbols_that_cannot_close_match_naive_enumeration(self, rows, dead):
+        from _support import naive_periodic_orbit_words
+
+        m = ZeroOneMatrix.from_rows(rows)
+        words = periodic_orbit_words(m, 8)
+        assert words == naive_periodic_orbit_words(m, 8)
+        assert {w[0] for w in words} == set(range(1, m.size + 1)) - dead
 
     def test_counts(self):
         assert count_period_points(FULL2, 2) == 4
