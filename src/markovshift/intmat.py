@@ -51,11 +51,12 @@ def _check_ints(what: str, values: Iterable) -> None:
 
 @frozen
 class IntMatrix:
-    """Immutable integer matrix stored row-major."""
+    """Immutable integer matrix stored row-major, as a tuple of row tuples."""
 
     entries: tuple[tuple[int, ...], ...]
 
-    def __init__(self, entries: tuple[tuple[int, ...], ...]):
+    def __init__(self, entries: Iterable[Iterable[int]]):
+        entries = tuple(map(tuple, entries))
         if not entries or not entries[0]:
             raise ShapeError("matrix needs at least one row and one column")
         width = len(entries[0])
@@ -77,7 +78,7 @@ class IntMatrix:
         return self.rows == self.cols
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.entries)))
+        return IntMatrix(zip(*self.entries))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -114,7 +115,7 @@ def _replay(ops, v: list[int], inverse: bool) -> list[int]:
 def _transform_matrix(ops, n: int, inverse: bool) -> IntMatrix:
     """The product of the recorded operations, or its inverse, as an n x n matrix."""
     cols = [_replay(ops, [int(i == j) for i in range(n)], inverse) for j in range(n)]
-    return IntMatrix(tuple(zip(*cols)))
+    return IntMatrix(zip(*cols))
 
 
 @frozen
@@ -302,7 +303,7 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
 
     return SnfResult(
         matrix=m,
-        D=IntMatrix(tuple(map(tuple, a))),
+        D=IntMatrix(a),
         row_ops=tuple(row_ops),
         col_ops=tuple(col_ops),
     )
@@ -368,7 +369,7 @@ def eliminate_unit_pivots(
                 for j in live:
                     row[j] -= q * source[j]
         t += 1
-    rest = IntMatrix(tuple(tuple(row[t:n]) for row in a[t:])) if t < n else None
+    rest = IntMatrix([row[t:n] for row in a[t:]]) if t < n else None
     return rest, tuple(row[n] for row in a[t:]), sign
 
 

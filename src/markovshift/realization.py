@@ -39,7 +39,7 @@ from .groups import (
 )
 from .intmat import _check_ints
 from .invariants import MarkovInvariant, invariant_triple
-from .shifts import NonNegMatrix, ZeroOneMatrix, out_split
+from .shifts import NonNegMatrix, ZeroOneMatrix, _check_matrix, out_split
 
 
 @frozen
@@ -99,7 +99,8 @@ def base_matrix(d_list) -> NonNegMatrix:
     """Matrix with diagonal d_i + 2 and ones elsewhere, d_1 = 0.
 
     Presents Z^(zeros - 1) plus the cyclic factors Z/d_i (d_i >= 2), and
-    det(id - A) = (-1)^N * product of d_2..d_N.
+    det(id - A) = (-1)^N * product of d_2..d_N.  With the d_i checked to be
+    integers >= 0, every entry is a positive integer, on N >= 2 states.
     """
     d = tuple(d_list)
     _check_ints("diagonal parameter", d)
@@ -113,7 +114,7 @@ def base_matrix(d_list) -> NonNegMatrix:
     rows = tuple(
         tuple(d[i] + 2 if i == j else 1 for j in range(n)) for i in range(n)
     )
-    return NonNegMatrix(rows)
+    return NonNegMatrix._built(rows)
 
 
 def point_vector(group: FgAbelianGroup, point: GroupElement, d) -> tuple[int, ...]:
@@ -158,14 +159,15 @@ def cyclic_base(m: int, sign: int) -> tuple[NonNegMatrix, tuple[int, int]]:
     with x = isqrt(m) + 1, y = floor(m / x) + 1 and t = xy - m; the second
     column makes e2 = -x*e1.  Either way id - B^t has a -1 entry, so the
     group is cyclic of order |det| = m, and no entry exceeds sqrt(m) + 2.
+    Every entry is a positive integer (st >= m and xy > m).
     """
     if sign == -1:
         s = math.isqrt(m - 1) + 1
         t = -(-m // s)
-        return NonNegMatrix(((2, s), (t, s * t - m + 1))), (-s, 1)
+        return NonNegMatrix._built(((2, s), (t, s * t - m + 1))), (-s, 1)
     x = math.isqrt(m) + 1
     y = m // x + 1
-    return NonNegMatrix(((x + 1, 1), (x * y - m, y + 1))), (1, -x)
+    return NonNegMatrix._built(((x + 1, 1), (x * y - m, y + 1))), (1, -x)
 
 
 def cyclic_tails(m: int, weights: tuple[int, int], u: int, bound: int) -> tuple[int, int] | None:
@@ -205,8 +207,11 @@ def tail_extension(a: NonNegMatrix, c) -> NonNegMatrix:
     (i, c_i) behaves like original state i feeding the tail heads.  This
     moves the all-ones class onto the class of 1 + c while keeping the
     determinant.  States are ordered by (i, j), so (i, j) is state
-    heads[i] + j, where heads[i] is the sum of c_k + 1 over k < i.
+    heads[i] + j, where heads[i] is the sum of c_k + 1 over k < i.  The
+    result passes the checks unrun: a tail state has a single 1 in its row
+    and column, and (i, c_i) and the head (i, 0) carry row and column i of A.
     """
+    _check_matrix(a)
     c = tuple(c)
     _check_ints("tail length", c)
     if len(c) != a.size:
@@ -223,7 +228,7 @@ def tail_extension(a: NonNegMatrix, c) -> NonNegMatrix:
         for k, x in zip(heads, row):
             last[k] = x
         rows.append(tuple(last))
-    return NonNegMatrix(tuple(rows))
+    return NonNegMatrix._built(tuple(rows))
 
 
 def _final_states(base: NonNegMatrix, c) -> int:

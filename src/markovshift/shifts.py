@@ -14,19 +14,38 @@ from collections.abc import Iterable
 from itertools import chain, compress
 from operator import itemgetter, mul
 
-from ._value import frozen
+from ._value import _store, frozen
 from .errors import DomainError, PreconditionError, ShapeError
 from .intmat import IntMatrix, _check_ints, _is_int, _product
 
 
 @frozen
 class NonNegMatrix:
-    """Square matrix over the nonnegative integers, no zero row or column."""
+    """Square matrix over the nonnegative integers, no zero row or column.
+
+    A matrix is checked once, where it enters the library: by this
+    constructor (and ``from_rows``, ``fileio.matrix_from_rows`` and
+    ``validate``, which call it).  The constructor stores the rows as
+    tuples, so a checked matrix cannot change afterwards.  The recodings
+    and realization stages build their results from checked matrices with
+    ``_built``, which runs no check; each says why its result passes them.
+    """
 
     entries: tuple[tuple[int, ...], ...]
 
     MIN_SIZE = 1
     ZERO_ONE = False
+
+    def __init__(self, entries: Iterable[Iterable[int]]):
+        _store(self, "entries", tuple(map(tuple, entries)))
+        self.__post_init__()
+
+    @classmethod
+    def _built(cls, entries: tuple[tuple[int, ...], ...]):
+        """A matrix of row tuples that passes this class's checks by construction; none runs."""
+        matrix = object.__new__(cls)
+        _store(matrix, "entries", entries)
+        return matrix
 
     def __post_init__(self):
         entries = self.entries
@@ -67,19 +86,26 @@ class NonNegMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]):
-        return cls(tuple(map(tuple, rows)))
+        return cls(rows)
 
     @property
     def size(self) -> int:
         return len(self.entries)
 
 
-@frozen
+# not decorated with @frozen, which would give it an __init__ of its own; it
+# inherits the constructor, the value methods and the refusal to assign
 class ZeroOneMatrix(NonNegMatrix):
     """Transition matrix with entries in {0, 1} and at least two states."""
 
     MIN_SIZE = 2
     ZERO_ONE = True
+
+
+def _check_matrix(a) -> None:
+    """Raise ShapeError unless a is a ``NonNegMatrix``, whose checks the recodings rely on."""
+    if not isinstance(a, NonNegMatrix):
+        raise ShapeError(f"expected a NonNegMatrix, got {type(a).__name__}")
 
 
 def _check_count(what: str, k) -> None:
@@ -95,8 +121,8 @@ def relation_matrix(a: NonNegMatrix) -> IntMatrix:
     for i, row in enumerate(zip(*a.entries)):
         negated = [-x for x in row]
         negated[i] += 1
-        rows.append(tuple(negated))
-    return IntMatrix(tuple(rows))
+        rows.append(negated)
+    return IntMatrix(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -358,14 +384,17 @@ def edge_shift(a: NonNegMatrix) -> ZeroOneMatrix:
     shift is conjugate to the original one, so every invariant computed
     downstream agrees.  It has one state per unit of an entry;
     ``out_split`` recodes with one per unit of each row's largest entry.
+    The result passes the checks unrun: its rows and columns are nonzero
+    because every state of A has an edge out and an edge in.
     """
+    _check_matrix(a)
     edges = [(i, j) for i, row in enumerate(a.entries) for j, count in enumerate(row) for _ in range(count)]
     if len(edges) < 2:
         raise DomainError("edge shift would have fewer than 2 states")
     # one row per state, with a 1 at each edge starting there; each edge takes its target's row
     starts = [tuple(int(source == i) for source, _ in edges) for i in range(a.size)]
     rows = tuple(starts[target] for _, target in edges)
-    return ZeroOneMatrix(rows)
+    return ZeroOneMatrix._built(rows)
 
 
 def out_split(a: NonNegMatrix) -> ZeroOneMatrix:
@@ -377,15 +406,18 @@ def out_split(a: NonNegMatrix) -> ZeroOneMatrix:
     column holds A(x, y) ones.  This out-splitting is a conjugacy of the
     one-sided shift (Williams 1973; Lind and Marcus 1995, section 2.4) that
     ``column_amalgamation`` undoes.  It has sum_x k_x states, never more
-    than the edge shift's sum of all entries.
+    than the edge shift's sum of all entries.  The result passes the checks
+    unrun: copy j < k_x of x has a 1 wherever A(x, y) > j, and the column
+    of a copy of y holds the sum of column y of A, which is nonzero.
     """
+    _check_matrix(a)
     counts = list(map(max, a.entries))
     if sum(counts) < 2:
         raise DomainError("out-splitting would have fewer than 2 states")
     # a thresholded row of A becomes a row of the split by repeating its entry y k_y times
     spread = itemgetter(*[y for y, k in enumerate(counts) for _ in range(k)])
     rows = tuple(spread([int(x > j) for x in row]) for row, k in zip(a.entries, counts) for j in range(k))
-    return ZeroOneMatrix(rows)
+    return ZeroOneMatrix._built(rows)
 
 
 def column_amalgamation(a: NonNegMatrix) -> NonNegMatrix:
@@ -396,8 +428,11 @@ def column_amalgamation(a: NonNegMatrix) -> NonNegMatrix:
     out-splitting: a conjugacy of the one-sided shift, so the result has
     the same invariant (Williams 1973).  Each pass merges every class of
     equal columns at once; the result may have entries > 1.  A matrix
-    whose columns already differ is returned as it is.
+    whose columns already differ is returned as it is.  The result passes
+    the checks unrun: its entries are sums of entries of A, each merged row
+    sums rows of A and each merged column keeps the sum of a column of A.
     """
+    _check_matrix(a)
     # work on columns: they are what each pass hashes, and only the kept ones
     # are rebuilt; the first pass reads them straight off the rows
     columns = zip(*a.entries)
@@ -424,7 +459,7 @@ def column_amalgamation(a: NonNegMatrix) -> NonNegMatrix:
         size = len(merged)
     if size == a.size:
         return a
-    return NonNegMatrix(tuple(zip(*columns)))
+    return NonNegMatrix._built(tuple(zip(*columns)))
 
 
 def admissible_words(a: ZeroOneMatrix, k: int) -> list[tuple[int, ...]]:
@@ -459,8 +494,12 @@ def higher_block(a: ZeroOneMatrix, k: int) -> ZeroOneMatrix:
     """Recode on overlapping k-blocks; k = 1 returns the matrix itself.
 
     States are the admissible k-words in lexicographic order, with the
-    transitions of their k-block graph (`block_graph`).
+    transitions of their k-block graph (`block_graph`).  For k >= 2 the
+    result passes the checks unrun: a word w is followed by w[1:] and an
+    edge out of its last symbol, and follows an edge into its first symbol
+    and w[:-1].  For k = 1 a nonnegative matrix is checked to be 0/1.
     """
+    _check_matrix(a)
     _check_count("word length", k)
     if k == 1:
         return a if isinstance(a, ZeroOneMatrix) else ZeroOneMatrix(a.entries)
@@ -473,4 +512,4 @@ def higher_block(a: ZeroOneMatrix, k: int) -> ZeroOneMatrix:
         for j in targets:
             row[j] = 1
         rows.append(tuple(row))
-    return ZeroOneMatrix(tuple(rows))
+    return ZeroOneMatrix._built(tuple(rows))

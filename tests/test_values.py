@@ -115,6 +115,18 @@ def test_matrix_classes_never_equal_each_other():
     assert IntMatrix(FULL2) != IntMatrix(((1, 1), (1, 0)))
 
 
+@pytest.mark.parametrize("cls", [IntMatrix, NonNegMatrix, ZeroOneMatrix], ids=lambda cls: cls.__name__)
+def test_matrices_built_from_lists_keep_tuples(cls):
+    rows = [[1, 1], [1, 0]]
+    matrix = cls(rows)
+    assert matrix == cls(((1, 1), (1, 0))) == cls(entries=rows) == cls(iter(rows))
+    assert hash(matrix) == hash(cls(((1, 1), (1, 0))))
+    rows[1][1] = -5
+    assert matrix.entries == ((1, 1), (1, 0))
+    with pytest.raises(TypeError):
+        matrix.entries[0][0] = -5
+
+
 @pytest.mark.parametrize("cls", HASHABLE, ids=lambda cls: cls.__name__)
 def test_equal_values_hash_alike(cls):
     assert hash(make(cls)) == hash(make(cls))
