@@ -6,6 +6,10 @@ negative decision, 2 for invalid input, 4 for an I/O or internal error.
 Every decision is exact, so no command answers "undecided".  Reports are
 deterministic; ``--json`` switches to the machine-readable form used by
 golden tests.
+
+The commands that read a matrix file (invariant, coe, flow, positivity,
+periodic) read it through ``_load``: parse, build the typed matrix, apply
+the command's check, and report a refusal against the file's path.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from .fileio import (
 )
 from .groups import FgAbelianGroup
 from .invariants import (
-    MarkovInvariant,
     decide_coe,
     decide_flow,
     full_group_abelianization,
@@ -90,12 +93,23 @@ _FAILURES = (
 )
 
 
-def _echo_matrix(path, rows) -> dict:
-    return {"path": str(path), "size": len(rows), "rows": [list(r) for r in rows]}
+def _zero_one(matrix) -> ZeroOneMatrix:
+    """matrix, once it is classifiable and has 0/1 entries; otherwise PreconditionError."""
+    require_classifiable(matrix)
+    if not isinstance(matrix, ZeroOneMatrix):
+        raise PreconditionError("this command needs a 0/1 transition matrix")
+    return matrix
 
 
-def _read_matrix(path):
-    """The typed matrix of a file and its echo; a zero row or column gets validate's report."""
+def _load(path, check) -> tuple:
+    """check applied to the typed matrix of a file, and the file's echo.
+
+    A zero row or column gets validate's full report, and a
+    PreconditionError from check is reported against the file.  The echo
+    holds the parsed rows, which are already lists.  ``invariant_triple``
+    checks its merged matrix, which is classifiable exactly when the file's
+    matrix is, with the same message.
+    """
     rows = read_matrix_rows(path)
     # parsed rows are square with nonnegative integer entries, so the matrix
     # is refused only for a zero row or column, which validate then names
@@ -104,30 +118,10 @@ def _read_matrix(path):
     except DomainError:
         details = "; ".join(issue.message for issue in validate(rows).issues)
         raise _InvalidInput(f"{path}: matrix is not classifiable: {details}") from None
-    return matrix, _echo_matrix(path, rows)
-
-
-def _checked(path, check, matrix):
-    """check(matrix), with a PreconditionError reported against the file."""
     try:
-        return check(matrix)
+        return check(matrix), {"path": str(path), "size": len(rows), "rows": rows}
     except PreconditionError as exc:
         raise _InvalidInput(f"{path}: {exc}") from None
-
-
-def _load_invariant(path) -> tuple[MarkovInvariant, dict]:
-    # invariant_triple checks its merged matrix, which is classifiable
-    # exactly when the file's matrix is, with the same message
-    matrix, echo = _read_matrix(path)
-    return _checked(path, invariant_triple, matrix), echo
-
-
-def _load_zero_one(path) -> tuple[ZeroOneMatrix, dict]:
-    matrix, echo = _read_matrix(path)
-    _checked(path, require_classifiable, matrix)
-    if not isinstance(matrix, ZeroOneMatrix):
-        raise _InvalidInput(f"{path}: this command needs a 0/1 transition matrix")
-    return matrix, echo
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +133,7 @@ def _cmd_validate(args) -> tuple[dict, int]:
     diagnostics = validate(rows)
     report = {
         "command": "validate",
-        "inputs": {"matrix": _echo_matrix(args.matrix, rows)},
+        "inputs": {"matrix": {"path": str(args.matrix), "size": len(rows), "rows": rows}},
         "classifiable": diagnostics.classifiable,
         "issues": [{"code": i.code, "message": i.message} for i in diagnostics.issues],
     }
@@ -147,7 +141,7 @@ def _cmd_validate(args) -> tuple[dict, int]:
 
 
 def _cmd_invariant(args) -> tuple[dict, int]:
-    inv, echo = _load_invariant(args.matrix)
+    inv, echo = _load(args.matrix, invariant_triple)
     abelianized = full_group_abelianization(inv)
     report = {
         "command": "invariant",
@@ -169,8 +163,8 @@ def _cmd_invariant(args) -> tuple[dict, int]:
 
 def _cmd_decide(args) -> tuple[dict, int]:
     # A's invariant comes first, so a bad A is reported before B is read
-    left, echo_a = _load_invariant(args.matrix_a)
-    right, echo_b = _load_invariant(args.matrix_b)
+    left, echo_a = _load(args.matrix_a, invariant_triple)
+    right, echo_b = _load(args.matrix_b, invariant_triple)
     outcome = args.decide(left, right)
     report = {
         "command": args.subcommand,
@@ -231,7 +225,7 @@ def _cmd_realize(args) -> tuple[dict, int]:
 
 
 def _cmd_positivity(args) -> tuple[dict, int]:
-    matrix, echo = _load_zero_one(args.matrix)
+    matrix, echo = _load(args.matrix, _zero_one)
     try:
         fn = read_function_file(args.function, matrix)
     except DomainError as exc:
@@ -260,7 +254,7 @@ def _cmd_periodic(args) -> tuple[dict, int]:
     Each count is cross-checked against the orbits of the periods dividing
     it; a failed check raises ``VerificationError`` before any report.
     """
-    matrix, echo = _load_zero_one(args.matrix)
+    matrix, echo = _load(args.matrix, _zero_one)
     reps = periodic_orbit_words(matrix, args.period)
     by_length: dict[int, list[str]] = {}
     for w, name in zip(reps, format_words(reps, matrix.size)):

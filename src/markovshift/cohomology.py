@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Mapping, Sequence
 from itertools import islice
-from operator import getitem
+from operator import getitem, mul
 from types import MappingProxyType
 
 from ._value import frozen
@@ -31,6 +31,7 @@ from .shifts import (
     ZeroOneMatrix,
     _adjacency,
     _check_count,
+    _power_factors,
     admissible_words,
     block_graph,
     is_cyclically_admissible,
@@ -104,11 +105,25 @@ def _is_path(allowed: set[tuple[int, int]], w: tuple[int, ...]) -> bool:
 
 
 def _word_count(a: ZeroOneMatrix, k: int) -> int:
-    """The number of admissible k-words: paths of k - 1 steps, one vector step per symbol."""
+    """The number of admissible k-words: the entry sum of A^(k - 1), the paths of k - 1 steps.
+
+    Stepping a vector of path counts once per symbol costs an addition per
+    transition a step; repeated squaring (``shifts._power_factors``) costs
+    n^3 multiplications a bit of k - 1 and leaves A^(k - 1) as X Y, whose
+    entry sum is the column sums of X times the row sums of Y.  The count
+    takes whichever costs fewer operations, so a wide window over a few
+    states costs time logarithmic in it, and a narrow one over many sparse
+    states builds no n x n product.
+    """
     adj = _adjacency(a)
+    steps = k - 1
+    if a.size**3 * steps.bit_length() < steps * sum(map(len, adj)):
+        # steps exceeds n here, so power is a matrix, not None
+        power, square = _power_factors(a, steps)
+        return sum(map(mul, map(sum, zip(*power)), map(sum, square)))
     # paths[s]: the admissible words of the length reached so far that start at state s
     paths = [1] * a.size
-    for _ in range(k - 1):
+    for _ in range(steps):
         paths = [sum(map(paths.__getitem__, row)) for row in adj]
     return sum(paths)
 

@@ -346,15 +346,14 @@ def periodic_orbit_words(a: ZeroOneMatrix, max_period: int) -> list[tuple[int, .
     return out
 
 
-def count_period_points(a: ZeroOneMatrix, p: int) -> int:
-    """Number of points fixed by the p-th shift power: trace of A^p, by repeated squaring.
+def _power_factors(a: NonNegMatrix, p: int) -> tuple:
+    """Entry tuples X and Y with X Y = A^p, for p >= 1, by repeated squaring.
 
-    A^p is the product of the squares A^(2^i) over the set bits i of p.  The
-    powers stay plain entry tuples, multiplied by ``intmat._product``, and
-    the last product X Y is never built: its trace is the sum over i and k
-    of X[i][k] Y[k][i].
+    A^p is the product of the squares A^(2^i) over the set bits i of p,
+    multiplied by ``intmat._product``.  The last product X Y is left to the
+    caller, who needs only its trace or its entry sum.  X is None when p is
+    1, and both are A when p is 2, so neither takes a product.
     """
-    _check_count("period", p)
     square = a.entries
     power = None
     while p > 1:
@@ -366,6 +365,17 @@ def count_period_points(a: ZeroOneMatrix, p: int) -> int:
             power = square
         else:
             square = _product(square, square)
+    return power, square
+
+
+def count_period_points(a: ZeroOneMatrix, p: int) -> int:
+    """Number of points fixed by the p-th shift power: trace of A^p, by repeated squaring.
+
+    A^p = X Y comes from ``_power_factors``, and X Y is never built: its
+    trace is the sum over i and k of X[i][k] Y[k][i].
+    """
+    _check_count("period", p)
+    power, square = _power_factors(a, p)
     if power is None:
         return sum(row[i] for i, row in enumerate(square))
     return sum(sum(map(mul, row, col)) for row, col in zip(power, zip(*square)))

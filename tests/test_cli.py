@@ -133,30 +133,42 @@ class TestValidateCommand:
             ),
         ],
     )
-    def test_issues_pinned(self, tmp_path, capsys, text, issues):
-        # validate answers 1 with the issues; other commands refuse with 2
+    def test_issues_pinned(self, corpus, tmp_path, capsys, text, issues):
+        # validate answers 1 with the issues; every command that reads a
+        # matrix refuses with 2, coe and flow with the file as A and as B
         p = tmp_path / "bad.txt"
         p.write_text(text)
         assert main(["validate", str(p), "--json"]) == 1
         report = json.loads(capsys.readouterr().out)
         assert [(i["code"], i["message"]) for i in report["issues"]] == issues
-        assert main(["invariant", str(p), "--json"]) == 2
         details = "; ".join(message for _, message in issues)
-        assert json.loads(capsys.readouterr().out)["error"] == {
-            "kind": "invalid_input",
-            "message": f"{p}: matrix is not classifiable: {details}",
-        }
+        good = corpus["full2"]
+        for args in (
+            ["invariant", p],
+            ["coe", p, good],
+            ["coe", good, p],
+            ["flow", p, good],
+            ["flow", good, p],
+            ["positivity", p, corpus["fn"]],
+            ["periodic", p, "3"],
+        ):
+            assert main([*map(str, args), "--json"]) == 2, args
+            assert json.loads(capsys.readouterr().out)["error"] == {
+                "kind": "invalid_input",
+                "message": f"{p}: matrix is not classifiable: {details}",
+            }, args
 
-    def test_entries_above_one_refused_where_0_1_is_needed(self, tmp_path, capsys):
+    def test_entries_above_one_refused_where_0_1_is_needed(self, corpus, tmp_path, capsys):
         p = tmp_path / "nonneg.txt"
         p.write_text("2\n2 1\n1 0\n")
         assert main(["validate", str(p), "--json"]) == 0
         capsys.readouterr()
-        assert main(["periodic", str(p), "3", "--json"]) == 2
-        assert json.loads(capsys.readouterr().out)["error"] == {
-            "kind": "invalid_input",
-            "message": f"{p}: this command needs a 0/1 transition matrix",
-        }
+        for args in (["periodic", str(p), "3"], ["positivity", str(p), corpus["fn"]]):
+            assert main([*args, "--json"]) == 2, args
+            assert json.loads(capsys.readouterr().out)["error"] == {
+                "kind": "invalid_input",
+                "message": f"{p}: this command needs a 0/1 transition matrix",
+            }, args
 
     def test_parse_error_exit_2(self, tmp_path):
         p = tmp_path / "bad.txt"

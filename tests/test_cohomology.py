@@ -1,5 +1,6 @@
 import random
 import re
+import time
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
@@ -16,9 +17,12 @@ from markovshift import (
     VerificationError,
     ZeroOneMatrix,
     admissible_words,
+    base_matrix,
+    edge_shift,
     is_positive_class,
     orbit_sum,
     periodic_orbit_words,
+    tail_extension,
 )
 from markovshift import cohomology
 from markovshift.cohomology import _negative_cycle
@@ -29,6 +33,7 @@ from _support import (
     attracting_weight,
     coboundary,
     constant_fn,
+    count_calls,
     naive_orbit_sum,
     negative_cycle_full_rounds,
     random_zero_one,
@@ -59,6 +64,14 @@ def checked_outcome(m: ZeroOneMatrix, fn: LocallyConstantFn, cycle: tuple) -> ob
         if w not in fn.values:
             return DomainError, f"function is not defined on word {w}"
     return naive_orbit_sum(m, fn, cycle)
+
+
+def paths_by_steps(m: ZeroOneMatrix, k: int) -> int:
+    """The number of admissible k-words, one vector step per symbol after the first."""
+    counts = [1] * m.size
+    for _ in range(k - 1):
+        counts = [sum(c for c, allowed in zip(counts, row) if allowed) for row in m.entries]
+    return sum(counts)
 
 
 def outcome(m: ZeroOneMatrix, fn: LocallyConstantFn, cycle: tuple) -> object:
@@ -104,6 +117,45 @@ class TestLocallyConstantFn:
             LocallyConstantFn.over(FULL2, 15000, {})
         digits = re.search(r"missing (\d+) admissible words", str(raised.value)).group(1)
         assert (int(digits[:-4000]), int(digits[-4000:])) == divmod(2**15000, 10**4000)
+
+    def test_a_very_wide_window_is_refused_in_time_logarithmic_in_it(self):
+        # stepping a vector of path counts 299,999 times over integers that
+        # grow to 300,000 bits takes seconds; repeated squaring takes under
+        # 40 products of 2 x 2 matrices
+        started = time.perf_counter()
+        with pytest.raises(DomainError) as raised:
+            LocallyConstantFn.over(FULL2, 300000, {})
+        assert time.perf_counter() - started < 3.0
+        digits = re.search(r"missing (\d+) admissible words", str(raised.value)).group(1)
+        count = 0
+        for start in range(0, len(digits), 4000):
+            chunk = digits[start : start + 4000]
+            count = count * 10 ** len(chunk) + int(chunk)
+        assert count == 2**300000
+        first = [(1,) * 300000, (1,) * 299999 + (2,), (1,) * 299998 + (2, 1)]
+        prefix = "function table does not match the admissible words: "
+        assert str(raised.value) == f"{prefix}missing {digits} admissible words, e.g. {first}"
+
+    def test_word_count_is_the_number_of_paths(self, monkeypatch):
+        # windows up to 60 take both ways of counting: vector steps while
+        # they cost fewer operations, repeated squaring beyond
+        squarings = count_calls(monkeypatch, cohomology, "_power_factors")
+        rng = random.Random(28)
+        for _ in range(60):
+            m = random_zero_one(rng, rng.randint(2, 5), rng.uniform(0.3, 0.9))
+            for k in range(1, 61):
+                assert cohomology._word_count(m, k) == paths_by_steps(m, k)
+            for k in range(1, 6):
+                assert cohomology._word_count(m, k) == len(admissible_words(m, k))
+        assert len(squarings) > 1000
+
+    def test_a_narrow_window_over_many_states_builds_no_product(self, monkeypatch):
+        # a product of two 1,023 x 1,023 matrices takes most of a minute,
+        # and four vector steps over the 2,067 transitions milliseconds
+        m = edge_shift(tail_extension(base_matrix((0, 1009, 1)), (0, 1, 0)))
+        squarings = count_calls(monkeypatch, cohomology, "_power_factors")
+        assert cohomology._word_count(m, 5) == paths_by_steps(m, 5)
+        assert squarings == []
 
     def test_non_integer_value_rejected_not_truncated(self):
         # truncated, this table would be all zeros and read as positive

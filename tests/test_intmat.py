@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 
 import pytest
 
@@ -142,6 +143,17 @@ class TestSmithNormalForm:
         assert final.size == 123
         snf = snf_invariants_hold(relation_matrix(final))
         assert snf.diagonal == (1,) * 122 + (109,)
+
+    def test_realized_edge_shift_relation_at_1023_states_skips_zero_updates(self):
+        # the same plan for Z/1009: the updates that skip zeros take under a
+        # second, and updates of whole rows and columns more than 20 times that
+        final = edge_shift(tail_extension(base_matrix((0, 1009, 1)), (0, 1, 0)))
+        assert final.size == 1023
+        m = relation_matrix(final)
+        started = time.perf_counter()
+        snf = smith_normal_form(m)
+        assert time.perf_counter() - started < 6.0
+        assert snf.diagonal == (1,) * 1022 + (1009,)
 
     def test_operation_log_is_pinned(self):
         for name, m in golden_inputs().items():
