@@ -45,6 +45,7 @@ from .invariants import (
 from .realization import realize
 from .shifts import (
     ZeroOneMatrix,
+    column_amalgamation,
     count_period_points,
     periodic_orbit_words,
     require_classifiable,
@@ -249,10 +250,14 @@ def _cmd_positivity(args) -> tuple[dict, int]:
 
 
 def _cmd_periodic(args) -> tuple[dict, int]:
-    """Orbit representatives and point counts (``count_period_points``) for periods 1..p.
+    """Orbit representatives and point counts for periods 1..p.
 
-    Each count is cross-checked against the orbits of the periods dividing
-    it; a failed check raises ``VerificationError`` before any report.
+    The counts are ``count_period_points`` of the total column amalgamation
+    B, which state amalgamations A = DE -> B = ED reach (Lind and Marcus
+    1995, section 2.4), so tr(B^q) = tr(A^q) over no more states.  The
+    orbits are enumerated on A, and each count is cross-checked against the
+    orbits of the periods dividing it; a failed check raises
+    ``VerificationError`` before any report.
     """
     matrix, echo = _load(args.matrix, _zero_one)
     reps = periodic_orbit_words(matrix, args.period)
@@ -260,8 +265,9 @@ def _cmd_periodic(args) -> tuple[dict, int]:
     for w, name in zip(reps, format_words(reps, matrix.size)):
         by_length.setdefault(len(w), []).append(name)
     periods = []
+    amalgamated = column_amalgamation(matrix)
     for q in range(1, args.period + 1):
-        fixed = count_period_points(matrix, q)
+        fixed = count_period_points(amalgamated, q)
         dividing = [(d, len(by_length.get(d, []))) for d in range(1, q + 1) if q % d == 0]
         periods.append(
             {
@@ -391,6 +397,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _render(report: dict, args, started: float) -> str:
+    """The report as JSON or text, with the elapsed time when --timing was given.
+
+    Integers of any size print: Python's limit on the digits str() writes
+    (4,300 by default) is lifted while the report renders, and restored
+    after, so input parsing keeps it.
+    """
+    if args.timing:
+        report["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
+    # 0 means no limit, as on interpreters before 3.10.7, which have no setting
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(report, indent=2) if args.json else _render_text(report)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # parsed into in place, so a refused command line is reported with its
@@ -400,6 +426,7 @@ def main(argv=None) -> int:
     try:
         _build_parser().parse_args(argv, args)
         report, code = args.handler(args)
+        text = _render(report, args, started)
     except Exception as exc:
         message = str(exc)
         for types, kind, code in _FAILURES:
@@ -410,10 +437,8 @@ def main(argv=None) -> int:
 
             traceback.print_exc(file=sys.stderr)
             kind, code, message = "internal_error", EXIT_ERROR, f"{type(exc).__name__}: {message}"
-        report = {"command": args.subcommand, "error": {"kind": kind, "message": message}}
-    if args.timing:
-        report["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
-    sys.stdout.write((json.dumps(report, indent=2) if args.json else _render_text(report)) + "\n")
+        text = _render({"command": args.subcommand, "error": {"kind": kind, "message": message}}, args, started)
+    sys.stdout.write(text + "\n")
     return code
 
 

@@ -5,7 +5,9 @@ Its cohomology class is positive exactly when every periodic orbit has a
 nonnegative total, which reduces to the absence of a negative-weight cycle
 in the k-block graph.  The matrix is irreducible, so that graph is
 strongly connected and one negative-cycle search over all of it decides
-the class; the search returns a violating cyclic word as a witness.
+the class; the search returns a violating cyclic word as a witness.  The
+words, their count and the transitions come from ``shifts``, which walks
+the graph; this module reads a function's table against them.
 
 An orbit sum looks each window of the cycle up in a table of the
 function's values keyed by exactly the windows that admissible cycles of
@@ -21,17 +23,17 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Mapping, Sequence
 from itertools import islice
-from operator import getitem, mul
+from operator import getitem
 from types import MappingProxyType
 
 from ._value import frozen
 from .errors import DomainError, InadmissibleWordError, VerificationError
-from .intmat import _check_ints
+from .intmat import _check_ints, _decimal
 from .shifts import (
     ZeroOneMatrix,
-    _adjacency,
     _check_count,
-    _power_factors,
+    _word_count,
+    _word_walk,
     admissible_words,
     block_graph,
     is_cyclically_admissible,
@@ -74,10 +76,11 @@ class LocallyConstantFn:
         """Build a function and check its table covers exactly the admissible words.
 
         The table is read from its keys and a count of the admissible words
-        (``_word_count``), so no list of them is built: a key is admissible
-        when it has the window's width, starts at a state and takes a
-        transition at each step.  Only a table that misses some word walks
-        to the first three it misses.
+        (``shifts._word_count``), so no list of them is built: a key is
+        admissible when it has the window's width, starts at a state and
+        takes a transition at each step.  Only a table that misses some word
+        walks the admissible words in order (``shifts._word_walk``) to the
+        first three it misses.
         """
         _check_count("window", window)
         normalized = {tuple(w): v for w, v in table.items()}
@@ -88,7 +91,7 @@ class LocallyConstantFn:
         extra = sorted(w for w in normalized if not (len(w) == window and w[0] in states and _is_path(allowed, w)))
         # len(normalized) - len(extra) keys are admissible words; the rest of the count is missing
         absent = _word_count(a, window) - len(normalized) + len(extra)
-        missing = list(islice(_words_missing_from(a, window, normalized), 3)) if absent else []
+        missing = list(islice((w for w in _word_walk(a, window) if w not in normalized), 3)) if absent else []
         if missing or extra:
             detail = []
             if missing:
@@ -102,61 +105,6 @@ class LocallyConstantFn:
 def _is_path(allowed: set[tuple[int, int]], w: tuple[int, ...]) -> bool:
     """Whether each consecutive pair of w is a transition, one of the set allowed."""
     return allowed.issuperset(zip(w, w[1:]))
-
-
-def _word_count(a: ZeroOneMatrix, k: int) -> int:
-    """The number of admissible k-words: the entry sum of A^(k - 1), the paths of k - 1 steps.
-
-    Stepping a vector of path counts once per symbol costs an addition per
-    transition a step; repeated squaring (``shifts._power_factors``) costs
-    n^3 multiplications a bit of k - 1 and leaves A^(k - 1) as X Y, whose
-    entry sum is the column sums of X times the row sums of Y.  The count
-    takes whichever costs fewer operations, so a wide window over a few
-    states costs time logarithmic in it, and a narrow one over many sparse
-    states builds no n x n product.
-    """
-    adj = _adjacency(a)
-    steps = k - 1
-    if a.size**3 * steps.bit_length() < steps * sum(map(len, adj)):
-        # steps exceeds n here, so power is a matrix, not None
-        power, square = _power_factors(a, steps)
-        return sum(map(mul, map(sum, zip(*power)), map(sum, square)))
-    # paths[s]: the admissible words of the length reached so far that start at state s
-    paths = [1] * a.size
-    for _ in range(steps):
-        paths = [sum(map(paths.__getitem__, row)) for row in adj]
-    return sum(paths)
-
-
-def _words_missing_from(a: ZeroOneMatrix, k: int, given: Mapping) -> Iterator[tuple[int, ...]]:
-    """The admissible k-words not in given, in lexicographic order.
-
-    A depth-first walk that keeps one word and one iterator of successors
-    per symbol of it, so its memory is O(k) however many words it passes.
-    No row of a is zero, so every prefix it takes extends to a k-word.
-    """
-    successors = [[t + 1 for t in row] for row in _adjacency(a)]
-    word: list[int] = []
-    branches = [iter(range(1, a.size + 1))]
-    while branches:
-        s = next(branches[-1], None)
-        if s is None:
-            branches.pop()
-            if word:
-                word.pop()
-        elif len(word) + 1 == k:
-            w = (*word, s)
-            if w not in given:
-                yield w
-        else:
-            word.append(s)
-            branches.append(iter(successors[s - 1]))
-
-
-def _decimal(n: int) -> str:
-    """n >= 0 in decimal, 4,000 digits at a time: Python 3.11's str() refuses more than 4,300."""
-    head, tail = divmod(n, 10**4000)
-    return f"{_decimal(head)}{tail:04000}" if head else str(tail)
 
 
 def _window_table(a: ZeroOneMatrix, fn: LocallyConstantFn) -> dict[int, dict[int, int]] | dict[tuple[int, ...], int]:

@@ -24,7 +24,7 @@ from itertools import chain
 
 from ._value import frozen
 from .errors import DomainError, ShapeError
-from .intmat import IntMatrix, _check_ints, _is_int, eliminate_unit_pivots, smith_normal_form
+from .intmat import IntMatrix, _check_ints, _decimal, _is_int, eliminate_unit_pivots, smith_normal_form
 
 INFINITE = math.inf
 
@@ -105,7 +105,7 @@ class FgAbelianGroup:
             parts.append("Z")
         elif self.free_rank > 1:
             parts.append(f"Z^{self.free_rank}")
-        parts.extend(f"Z/{m}" for m in self.torsion_factors)
+        parts.extend(f"Z/{_decimal(m)}" for m in self.torsion_factors)
         return " + ".join(parts) if parts else "0"
 
 

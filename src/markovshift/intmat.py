@@ -49,6 +49,12 @@ def _check_ints(what: str, values: Iterable) -> None:
             raise ShapeError(f"{what} {x!r} is not an integer")
 
 
+def _decimal(n: int) -> str:
+    """n >= 0 in decimal, 4,000 digits at a time: Python 3.11's str() refuses more than 4,300."""
+    head, tail = divmod(n, 10**4000)
+    return f"{_decimal(head)}{tail:04000}" if head else str(tail)
+
+
 @frozen
 class IntMatrix:
     """Immutable integer matrix stored row-major, as a tuple of row tuples."""

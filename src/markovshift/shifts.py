@@ -5,12 +5,15 @@ consecutive pair is allowed by the matrix.  This module covers structural
 validation (zero rows, irreducibility, whether the shift space has
 isolated points), periodic-orbit enumeration, the edge-shift and
 out-splitting conversions of a nonnegative matrix to a 0/1 one, and
-higher-block recodings.
+higher-block recodings.  It is the one module that walks the transition
+graph: the admissible words of a length come from one lexicographic walk
+(``_word_walk``), and their number and the periodic-point counts from
+powers of the matrix (``_word_count``, ``count_period_points``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from itertools import chain, compress
 from operator import itemgetter, mul
 
@@ -368,17 +371,43 @@ def _power_factors(a: NonNegMatrix, p: int) -> tuple:
     return power, square
 
 
-def count_period_points(a: ZeroOneMatrix, p: int) -> int:
+def count_period_points(a: NonNegMatrix, p: int) -> int:
     """Number of points fixed by the p-th shift power: trace of A^p, by repeated squaring.
 
-    A^p = X Y comes from ``_power_factors``, and X Y is never built: its
-    trace is the sum over i and k of X[i][k] Y[k][i].
+    For a matrix with entries > 1 these are the points of its edge shift,
+    so a total column amalgamation counts those of the 0/1 matrix it
+    merges.  A^p = X Y comes from ``_power_factors``, and X Y is never
+    built: its trace is the sum over i and k of X[i][k] Y[k][i].
     """
     _check_count("period", p)
     power, square = _power_factors(a, p)
     if power is None:
         return sum(row[i] for i, row in enumerate(square))
     return sum(sum(map(mul, row, col)) for row, col in zip(power, zip(*square)))
+
+
+def _word_count(a: ZeroOneMatrix, k: int) -> int:
+    """The number of admissible k-words: the entry sum of A^(k - 1), the paths of k - 1 steps.
+
+    Stepping a vector of path counts once per symbol costs an addition per
+    transition a step; repeated squaring (``_power_factors``) costs n^3
+    multiplications a bit of k - 1 and leaves A^(k - 1) as X Y, whose
+    entry sum is the column sums of X times the row sums of Y.  The count
+    takes whichever costs fewer operations, so a wide window over a few
+    states costs time logarithmic in it, and a narrow one over many sparse
+    states builds no n x n product.
+    """
+    adj = _adjacency(a)
+    steps = k - 1
+    if a.size**3 * steps.bit_length() < steps * sum(map(len, adj)):
+        # steps exceeds n here, so power is a matrix, not None
+        power, square = _power_factors(a, steps)
+        return sum(map(mul, map(sum, zip(*power)), map(sum, square)))
+    # paths[s]: the admissible words of the length reached so far that start at state s
+    paths = [1] * a.size
+    for _ in range(steps):
+        paths = [sum(map(paths.__getitem__, row)) for row in adj]
+    return sum(paths)
 
 
 # ---------------------------------------------------------------------------
@@ -472,14 +501,39 @@ def column_amalgamation(a: NonNegMatrix) -> NonNegMatrix:
     return NonNegMatrix._built(tuple(zip(*columns)))
 
 
+def _word_walk(a: ZeroOneMatrix, k: int) -> Iterator[tuple[int, ...]]:
+    """The admissible k-words, for k >= 1, in lexicographic order, one at a time.
+
+    A depth-first walk that keeps one prefix and one iterator of successors
+    per symbol of it, so its memory is O(k) however many words it passes.
+    No row of a is zero, so every prefix it takes extends to a k-word.  The
+    words that share their first k - 1 symbols are built in one
+    comprehension over the successors of the last of them.
+    """
+    states = range(1, a.size + 1)
+    # the walk starts at a symbol 0 that every state may follow, left out of the words
+    successors = [states] + [tuple(compress(states, row)) for row in a.entries]
+    word: list[int] = []
+    branches = [iter((0,))]
+    while branches:
+        s = next(branches[-1], None)
+        if s is None:
+            branches.pop()
+            if word:
+                word.pop()
+        elif len(word) + 1 < k:
+            word.append(s)
+            branches.append(iter(successors[s]))
+        else:
+            # s is the word's symbol k - 1 (the 0 when k is 1)
+            prefix = (*word, s)[1:]
+            yield from [prefix + (t,) for t in successors[s]]
+
+
 def admissible_words(a: ZeroOneMatrix, k: int) -> list[tuple[int, ...]]:
-    """All admissible words of length k, in lexicographic order."""
+    """All admissible words of length k, in lexicographic order (``_word_walk``)."""
     _check_count("word length", k)
-    adj = _adjacency(a)
-    words: list[tuple[int, ...]] = [(s,) for s in range(1, a.size + 1)]
-    for _ in range(k - 1):
-        words = [w + (t + 1,) for w in words for t in adj[w[-1] - 1]]
-    return words
+    return list(_word_walk(a, k))
 
 
 def block_graph(a: ZeroOneMatrix, k: int) -> tuple[list[tuple[int, ...]], list[list[int]]]:

@@ -234,6 +234,18 @@ class TestInvariantCommand:
         assert out.returncode == 0
         assert "group: Z/1009" in out.stdout.splitlines()
 
+    def test_large_file_periodic_counts(self, tmp_path):
+        # the same file's point counts come from its 4-state total column
+        # amalgamation; squaring the 1,023-state matrix itself takes 20-35 s
+        matrix = edge_shift(tail_extension(base_matrix((0, 1009, 1)), (0, 1, 0)))
+        target = tmp_path / "big.txt"
+        write_matrix_file(target, matrix)
+        out = run_cli("periodic", str(target), "3", "--json", timeout=10)
+        assert out.returncode == 0
+        periods = json.loads(out.stdout)["periods"]
+        assert [p["points_fixed_by_power"] for p in periods] == [5, 2037, 56]
+        assert all(p["crosscheck_ok"] for p in periods)
+
 
 class TestEquivalenceCommands:
     def test_coe_equivalent_pair(self, corpus):
@@ -447,8 +459,9 @@ class TestPeriodicCommand:
         assert report["periods"][0]["orbit_representatives"] == ["1", "2"]
 
     def test_fixed_points_match_count_period_points(self, tmp_path, capsys):
-        # the command counts with count_period_points, which squares; the
-        # test carries A^q forward and reads its trace off the diagonal
+        # the command counts with count_period_points on the total column
+        # amalgamation, which squares; the test carries A^q forward and reads
+        # its trace off the diagonal
         rng = random.Random(12)
         matrices = [ZeroOneMatrix.from_rows([[1, 1], [1, 0]]), ZeroOneMatrix.from_rows([[1, 1], [1, 1]])]
         matrices += [random_zero_one(rng, n, density=0.4) for n in (3, 3, 4, 4)]
@@ -585,6 +598,69 @@ class TestErrorReports:
         monkeypatch.setattr(markovshift.cli, "realize", interrupted)
         with pytest.raises(KeyboardInterrupt):
             main(["realize", "--torsion", "4", "--point", "1", "--sign", "-1", "--json"])
+
+
+def decimal_value(digits: str) -> int:
+    """The int a decimal string of any length stands for, read 4,000 digits at a time.
+
+    Python 3.11's int() refuses more than 4,300 digits.
+    """
+    sign, digits = (-1, digits[1:]) if digits.startswith("-") else (1, digits)
+    value = 0
+    for start in range(0, len(digits), 4000):
+        chunk = digits[start : start + 4000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return sign * value
+
+
+def diagonal_file(path, size: int, diagonal: int) -> str:
+    """A matrix file with the given diagonal entry, of at most 4,300 digits, and 1 elsewhere."""
+    rows = [" ".join(str(diagonal) if i == j else "1" for j in range(size)) for i in range(size)]
+    path.write_text(f"{size}\n" + "\n".join(rows) + "\n")
+    return str(path)
+
+
+class TestLargeIntegers:
+    """Reports hold integers of any size; a matrix file's entries keep Python's digit limit."""
+
+    def test_a_determinant_of_4500_digits_is_reported(self, tmp_path):
+        # id - A = (2 - d) id - J, whose eigenvalues are 2 - d twice and -1 - d
+        d = 10**1500
+        path = diagonal_file(tmp_path / "big.txt", 3, d)
+        out = run_cli("invariant", path, "--json", timeout=30)
+        assert (out.returncode, out.stderr) == (0, "")
+        invariant = json.loads(out.stdout, parse_int=decimal_value)["invariant"]
+        assert invariant["determinant"] == -((d - 2) ** 2) * (d + 1)
+
+    def test_a_matrix_with_a_huge_determinant_is_coe_to_itself(self, tmp_path):
+        path = diagonal_file(tmp_path / "big.txt", 3, 10**1500)
+        out = run_cli("coe", path, path, timeout=30)
+        assert (out.returncode, out.stderr) == (0, "")
+        assert out.stdout.splitlines()[0] == "continuous orbit equivalence: equivalent"
+
+    def test_a_cyclic_group_of_4400_digits_is_named(self, tmp_path):
+        # id - A = [[1 - d, -1], [-1, 1 - d]] has a unit entry, so its group is Z/|det| = Z/d(d - 2)
+        d = 10**2200
+        path = diagonal_file(tmp_path / "big.txt", 2, d)
+        out = run_cli("invariant", path, timeout=30)
+        assert (out.returncode, out.stderr) == (0, "")
+        group = out.stdout.splitlines()[0]
+        assert group.startswith("group: Z/")
+        assert decimal_value(group.removeprefix("group: Z/")) == d * (d - 2)
+
+    def test_an_entry_of_4301_digits_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "digits.txt"
+        path.write_text("2\n" + "1" * 4301 + " 1\n1 1\n")
+        out = run_cli("invariant", str(path), "--json", timeout=30)
+        assert (out.returncode, out.stderr) == (2, "")
+        assert json.loads(out.stdout)["error"]["kind"] == "parse_error"
+
+    def test_the_digit_limit_is_restored_after_the_report(self, tmp_path, capsys):
+        limit = sys.get_int_max_str_digits()
+        path = diagonal_file(tmp_path / "big.txt", 2, 10**2200)
+        assert main(["invariant", path]) == 0
+        assert capsys.readouterr().out.startswith("group: Z/")
+        assert sys.get_int_max_str_digits() == limit
 
 
 class TestStartUp:

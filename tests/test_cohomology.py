@@ -24,7 +24,7 @@ from markovshift import (
     periodic_orbit_words,
     tail_extension,
 )
-from markovshift import cohomology
+from markovshift import cohomology, shifts
 from markovshift.cohomology import _negative_cycle
 from markovshift.shifts import block_graph
 
@@ -36,6 +36,7 @@ from _support import (
     count_calls,
     naive_orbit_sum,
     negative_cycle_full_rounds,
+    pairs_allowed,
     random_zero_one,
 )
 
@@ -110,6 +111,29 @@ class TestLocallyConstantFn:
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             LocallyConstantFn.over(FULL2, 40, table)
 
+    def test_a_refusal_names_the_first_three_missing_words(self):
+        # partial tables over random matrices: the words named are the first
+        # three of every k-tuple in order that take a transition at each step
+        # and are not keys, and the count is that of all such words
+        rng = random.Random(29)
+        prefix = "function table does not match the admissible words: "
+        refused = 0
+        for _ in range(40):
+            m = random_zero_one(rng, rng.randint(2, 5), rng.uniform(0.3, 0.9))
+            for window in range(1, 6):
+                words = [w for w in product(range(1, m.size + 1), repeat=window) if pairs_allowed(m, w)]
+                keep = rng.random()
+                table = {w: 0 for w in words if rng.random() < keep}
+                missing = [w for w in words if w not in table]
+                if not missing:
+                    assert LocallyConstantFn.over(m, window, table).values == table
+                    continue
+                message = f"{prefix}missing {len(missing)} admissible words, e.g. {missing[:3]}"
+                with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                    LocallyConstantFn.over(m, window, table)
+                refused += 1
+        assert refused > 150
+
     def test_a_missing_count_past_the_str_digit_limit_is_named(self):
         # 2^15000 has 4,516 digits, more than Python 3.11's str() converts;
         # its digits are checked 4,000 at a time for the same reason
@@ -139,22 +163,22 @@ class TestLocallyConstantFn:
     def test_word_count_is_the_number_of_paths(self, monkeypatch):
         # windows up to 60 take both ways of counting: vector steps while
         # they cost fewer operations, repeated squaring beyond
-        squarings = count_calls(monkeypatch, cohomology, "_power_factors")
+        squarings = count_calls(monkeypatch, shifts, "_power_factors")
         rng = random.Random(28)
         for _ in range(60):
             m = random_zero_one(rng, rng.randint(2, 5), rng.uniform(0.3, 0.9))
             for k in range(1, 61):
-                assert cohomology._word_count(m, k) == paths_by_steps(m, k)
+                assert shifts._word_count(m, k) == paths_by_steps(m, k)
             for k in range(1, 6):
-                assert cohomology._word_count(m, k) == len(admissible_words(m, k))
+                assert shifts._word_count(m, k) == len(admissible_words(m, k))
         assert len(squarings) > 1000
 
     def test_a_narrow_window_over_many_states_builds_no_product(self, monkeypatch):
         # a product of two 1,023 x 1,023 matrices takes most of a minute,
         # and four vector steps over the 2,067 transitions milliseconds
         m = edge_shift(tail_extension(base_matrix((0, 1009, 1)), (0, 1, 0)))
-        squarings = count_calls(monkeypatch, cohomology, "_power_factors")
-        assert cohomology._word_count(m, 5) == paths_by_steps(m, 5)
+        squarings = count_calls(monkeypatch, shifts, "_power_factors")
+        assert shifts._word_count(m, 5) == paths_by_steps(m, 5)
         assert squarings == []
 
     def test_non_integer_value_rejected_not_truncated(self):

@@ -400,7 +400,7 @@ class TestWords:
         cases = [FULL2, GOLDEN]
         cases += [random_zero_one(rng, rng.randint(2, 5), rng.choice((0.3, 0.5))) for _ in range(30)]
         for m in cases:
-            for k in range(1, 5):
+            for k in range(1, 7):
                 expected = [w for w in product(range(1, m.size + 1), repeat=k) if pairs_allowed(m, w)]
                 assert admissible_words(m, k) == expected
 
@@ -654,6 +654,23 @@ class TestColumnAmalgamation:
             assert column_amalgamation(merged) is merged
             if len(set(zip(*m.entries))) == m.size:
                 assert merged == m
+
+    def test_keeps_the_trace_of_every_power(self):
+        # state amalgamations A = DE -> B = ED keep tr(A^p) for every p, so
+        # the periodic command counts the points of A on B; half the draws
+        # are out-splittings, which merge back
+        rng = random.Random(300)
+        merged = 0
+        for _ in range(300):
+            if rng.random() < 0.5:
+                m = out_split(random_nonneg(rng, rng.randint(1, 4), max_entry=2))
+            else:
+                m = random_zero_one(rng, rng.randint(2, 7), rng.uniform(0.2, 0.8))
+            b = column_amalgamation(m)
+            merged += b.size < m.size
+            for p in range(1, 9):
+                assert count_period_points(b, p) == count_period_points(m, p)
+        assert merged > 100
 
 
 class TestHigherBlock:
