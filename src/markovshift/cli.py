@@ -255,9 +255,10 @@ def _cmd_periodic(args) -> tuple[dict, int]:
     The counts are ``count_period_points`` of the total column amalgamation
     B, which state amalgamations A = DE -> B = ED reach (Lind and Marcus
     1995, section 2.4), so tr(B^q) = tr(A^q) over no more states.  The
-    orbits are enumerated on A, and each count is cross-checked against the
-    orbits of the periods dividing it; a failed check raises
-    ``VerificationError`` before any report.
+    periods are counted in turn on one B, so each past the second takes
+    one product by B.  The orbits are enumerated on A, and each count is
+    cross-checked against the orbits of the periods dividing it; a failed
+    check raises ``VerificationError`` before any report.
     """
     matrix, echo = _load(args.matrix, _zero_one)
     reps = periodic_orbit_words(matrix, args.period)

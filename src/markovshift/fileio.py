@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from .cohomology import LocallyConstantFn
 from .errors import ParseError
+from .intmat import _decimal
 from .shifts import NonNegMatrix, ZeroOneMatrix
 
 
@@ -74,9 +75,12 @@ def matrix_from_rows(rows) -> NonNegMatrix:
 
 
 def format_matrix(matrix: NonNegMatrix) -> str:
-    lines = [str(matrix.size)]
-    lines.extend(" ".join(str(x) for x in row) for row in matrix.entries)
-    return "\n".join(lines) + "\n"
+    """The matrix file text; entries ``str`` refuses (over 4,300 digits) are written by ``_decimal``."""
+    try:
+        rows = [" ".join(str(x) for x in row) for row in matrix.entries]
+    except ValueError:
+        rows = [" ".join(map(_decimal, row)) for row in matrix.entries]
+    return "\n".join([str(matrix.size), *rows]) + "\n"
 
 
 def write_matrix_file(path, matrix) -> None:

@@ -56,10 +56,10 @@ class FgAbelianGroup:
         prev = 1
         for m in torsion_factors:
             if m < 2:
-                raise DomainError(f"torsion factor {m} is not allowed; factors must be >= 2")
+                raise DomainError(f"torsion factor {_decimal(m)} is not allowed; factors must be >= 2")
             if m % prev != 0:
                 raise DomainError(
-                    f"torsion factors must form a divisibility chain; {prev} does not divide {m}"
+                    f"torsion factors must form a divisibility chain; {_decimal(prev)} does not divide {_decimal(m)}"
                 )
             prev = m
         object.__setattr__(self, "free_rank", free_rank)

@@ -49,9 +49,16 @@ def _check_ints(what: str, values: Iterable) -> None:
             raise ShapeError(f"{what} {x!r} is not an integer")
 
 
+# str() writes an integer below this in absolute value, 4,000 digits at most,
+# on every Python version: since 3.11 it refuses more than 4,300
+_STR_LIMIT = 10**4000
+
+
 def _decimal(n: int) -> str:
-    """n >= 0 in decimal, 4,000 digits at a time: Python 3.11's str() refuses more than 4,300."""
-    head, tail = divmod(n, 10**4000)
+    """n in decimal, of any size: ``str`` of each block of 4,000 digits."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    head, tail = divmod(n, _STR_LIMIT)
     return f"{_decimal(head)}{tail:04000}" if head else str(tail)
 
 

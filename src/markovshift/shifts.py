@@ -8,7 +8,9 @@ out-splitting conversions of a nonnegative matrix to a 0/1 one, and
 higher-block recodings.  It is the one module that walks the transition
 graph: the admissible words of a length come from one lexicographic walk
 (``_word_walk``), and their number and the periodic-point counts from
-powers of the matrix (``_word_count``, ``count_period_points``).
+powers of the matrix (``_word_count``, ``count_period_points``).  A matrix
+keeps the power of its last period count, so counting periods 1, 2, 3,
+... in turn takes one product a period.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from operator import itemgetter, mul
 
 from ._value import _store, frozen
 from .errors import DomainError, PreconditionError, ShapeError
-from .intmat import IntMatrix, _check_ints, _is_int, _product
+from .intmat import IntMatrix, _check_ints, _decimal, _is_int, _product
 
 
 @frozen
@@ -38,6 +40,12 @@ class NonNegMatrix:
 
     MIN_SIZE = 1
     ZERO_ONE = False
+
+    # the period count_period_points last counted and A^(p - 1) for it, or
+    # None when that count did not build it; an instance stores its own pair
+    # with _store, so it holds one power at a time, and equality, hash and
+    # repr read the entries only
+    _last_count = (0, None)
 
     def __init__(self, entries: Iterable[Iterable[int]]):
         _store(self, "entries", tuple(map(tuple, entries)))
@@ -81,11 +89,11 @@ class NonNegMatrix:
             for x in row:
                 _check_ints("entry", (x,))
                 if x < 0:
-                    raise DomainError(f"negative entry {x} in row {i + 1}")
+                    raise DomainError(f"negative entry {_decimal(x)} in row {i + 1}")
         if self.ZERO_ONE:
             for x in chain.from_iterable(self.entries):
                 if x > 1:
-                    raise DomainError(f"entry {x} is not in {{0, 1}}")
+                    raise DomainError(f"entry {_decimal(x)} is not in {{0, 1}}")
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]):
@@ -301,6 +309,7 @@ def periodic_orbit_words(a: ZeroOneMatrix, max_period: int) -> list[tuple[int, .
     two lengths at most, and the last length builds only the words it
     returns.
     """
+    _check_matrix(a)
     _check_count("period bound", max_period)
     n = a.size
     states = range(1, n + 1)
@@ -372,15 +381,32 @@ def _power_factors(a: NonNegMatrix, p: int) -> tuple:
 
 
 def count_period_points(a: NonNegMatrix, p: int) -> int:
-    """Number of points fixed by the p-th shift power: trace of A^p, by repeated squaring.
+    """Number of points fixed by the p-th shift power: the trace of A^p.
 
     For a matrix with entries > 1 these are the points of its edge shift,
     so a total column amalgamation counts those of the 0/1 matrix it
-    merges.  A^p = X Y comes from ``_power_factors``, and X Y is never
+    merges.  Callers count periods 1, 2, 3, ... in turn, so the matrix
+    keeps one slot: the period q it last counted and A^(q - 1) when that
+    count built it, one n x n power, replaced on every call.  A count of
+    p = q + 1 takes one product, A^(p - 1) = A^(q - 1) A, and p = 2 takes
+    none (A^1 is A), so periods 1..P cost P - 2 products.  Any other p
+    squares as if nothing were kept: A^p = X Y comes from
+    ``_power_factors``.  The last product, A^(p - 1) A or X Y, is never
     built: its trace is the sum over i and k of X[i][k] Y[k][i].
     """
+    _check_matrix(a)
     _check_count("period", p)
-    power, square = _power_factors(a, p)
+    q, power = a._last_count
+    if p == 2:
+        power = a.entries
+    elif p == q + 1 and power is not None:
+        power = _product(power, a.entries)
+    else:
+        power = None
+    _store(a, "_last_count", (p, power))
+    square = a.entries
+    if power is None:
+        power, square = _power_factors(a, p)
     if power is None:
         return sum(row[i] for i, row in enumerate(square))
     return sum(sum(map(mul, row, col)) for row, col in zip(power, zip(*square)))
@@ -504,13 +530,18 @@ def column_amalgamation(a: NonNegMatrix) -> NonNegMatrix:
 def _word_walk(a: ZeroOneMatrix, k: int) -> Iterator[tuple[int, ...]]:
     """The admissible k-words, for k >= 1, in lexicographic order, one at a time.
 
-    A depth-first walk that keeps one prefix and one iterator of successors
-    per symbol of it, so its memory is O(k) however many words it passes.
-    No row of a is zero, so every prefix it takes extends to a k-word.  The
-    words that share their first k - 1 symbols are built in one
-    comprehension over the successors of the last of them.
+    A depth-first walk over the first k - 2 symbols that keeps one prefix
+    and one iterator of successors per symbol of it.  No row of a is zero,
+    so every prefix it takes extends to a k-word.  The words that share
+    their first k - 2 symbols are built in one comprehension over two
+    steps from the last of them, so besides the O(k) walk it holds one
+    block of at most d^2 words, d the largest number of successors of a
+    state, however many words it passes.
     """
     states = range(1, a.size + 1)
+    if k == 1:
+        yield from ((s,) for s in states)
+        return
     # the walk starts at a symbol 0 that every state may follow, left out of the words
     successors = [states] + [tuple(compress(states, row)) for row in a.entries]
     word: list[int] = []
@@ -521,13 +552,13 @@ def _word_walk(a: ZeroOneMatrix, k: int) -> Iterator[tuple[int, ...]]:
             branches.pop()
             if word:
                 word.pop()
-        elif len(word) + 1 < k:
+        elif len(word) + 2 < k:
             word.append(s)
             branches.append(iter(successors[s]))
         else:
-            # s is the word's symbol k - 1 (the 0 when k is 1)
+            # s is the word's symbol k - 2 (the 0 when k is 2)
             prefix = (*word, s)[1:]
-            yield from [prefix + (t,) for t in successors[s]]
+            yield from [prefix + (u, t) for u in successors[s] for t in successors[u]]
 
 
 def admissible_words(a: ZeroOneMatrix, k: int) -> list[tuple[int, ...]]:

@@ -18,6 +18,11 @@ class TestMatrixParsing:
         text = format_matrix(FULL2)
         assert parse_matrix_rows(text) == [[1, 1], [1, 1]]
 
+    def test_an_entry_past_the_str_digit_limit_is_written(self):
+        # 10^5000 has 5,001 digits, more than Python 3.11's str() converts
+        text = format_matrix(NonNegMatrix([[10**5000, 1], [1, 1]]))
+        assert text == f"2\n1{'0' * 5000} 1\n1 1\n"
+
     def test_comments_and_blanks(self):
         text = "# transition matrix\n\n2   # size\n1 1\n1 0  # golden mean\n"
         assert parse_matrix_rows(text) == [[1, 1], [1, 0]]

@@ -62,6 +62,15 @@ class TestCanonicalForm:
         with pytest.raises(DomainError):
             FgAbelianGroup(0, (1,))
 
+    def test_a_factor_past_the_str_digit_limit_is_named(self):
+        # 10^5000 has 5,001 digits, more than Python 3.11's str() converts
+        with pytest.raises(DomainError) as info:
+            FgAbelianGroup(0, (10**5000, 3))
+        assert str(info.value) == f"torsion factors must form a divisibility chain; 1{'0' * 5000} does not divide 3"
+        with pytest.raises(DomainError) as info:
+            FgAbelianGroup(0, (-(10**5000),))
+        assert str(info.value) == f"torsion factor -1{'0' * 5000} is not allowed; factors must be >= 2"
+
     def test_canonical_group_merges_prime_powers(self):
         # Z^n modulo a diagonal matrix is the direct sum of the cyclic groups
         # of its entries; its canonical form merges them into one chain

@@ -14,7 +14,7 @@ from markovshift import (
     smith_normal_form,
     tail_extension,
 )
-from markovshift.intmat import eliminate_unit_pivots
+from markovshift.intmat import _decimal, eliminate_unit_pivots
 
 from _support import (
     cofactor_determinant,
@@ -103,6 +103,18 @@ class TestProduct:
             x @ x
         with pytest.raises(ShapeError, match=r"^cannot multiply 3x2 by 3x2$"):
             x.transpose() @ x.transpose()
+
+
+class TestDecimal:
+    def test_agrees_with_str_below_the_digit_limit(self):
+        for n in (0, 7, -7, 10**3999, -(10**3999) + 1, 10**4000 - 1):
+            assert _decimal(n) == str(n)
+
+    def test_writes_any_size_with_its_sign(self):
+        # 10^9000 + 5 has 9,001 digits, more than Python 3.11's str() converts
+        n = 10**9000 + 5
+        assert _decimal(n) == f"1{'0' * 8999}5"
+        assert _decimal(-n) == f"-1{'0' * 8999}5"
 
 
 class TestSmithNormalForm:

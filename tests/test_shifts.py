@@ -27,10 +27,12 @@ from markovshift import (
     relation_matrix,
     validate,
 )
+from markovshift import shifts
 from markovshift.shifts import classifiability_issue, column_amalgamation, require_classifiable
 
 from _support import (
     allows,
+    count_calls,
     identity_minus,
     least_rotation_period,
     pairs_allowed,
@@ -90,6 +92,20 @@ class TestMatrixTypes:
             with pytest.raises(error) as info:
                 build(entries)
             assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "cls, entry, message",
+        [
+            (NonNegMatrix, -(10**5000), "negative entry -1{} in row 1"),
+            (ZeroOneMatrix, 10**5000, "entry 1{} is not in {{0, 1}}"),
+        ],
+        ids=["negative", "above_one"],
+    )
+    def test_an_entry_past_the_str_digit_limit_is_named(self, cls, entry, message):
+        # 10^5000 has 5,001 digits, more than Python 3.11's str() converts
+        with pytest.raises(DomainError) as info:
+            cls([[entry, 1], [1, 1]])
+        assert str(info.value) == message.format("0" * 5000)
 
     def test_int_subclass_entries_accepted(self):
         class Count(int):
@@ -352,6 +368,18 @@ class TestIntegerArguments:
                 higher_block(FULL2, bad)
 
 
+class TestMatrixArguments:
+    # the census and the counts read a checked transition matrix, never
+    # rows or an integer matrix that is not a shift
+    @pytest.mark.parametrize("bad", [[[1, 1], [1, 1]], IntMatrix([[1, 1], [1, 1]])], ids=["list", "IntMatrix"])
+    def test_period_counts_and_orbits_refuse_a_non_matrix(self, bad):
+        name = type(bad).__name__
+        with pytest.raises(ShapeError, match=f"^expected a NonNegMatrix, got {name}$"):
+            count_period_points(bad, 2)
+        with pytest.raises(ShapeError, match=f"^expected a NonNegMatrix, got {name}$"):
+            periodic_orbit_words(bad, 2)
+
+
 class TestRandomMatrices:
     def test_impossible_sizes_raise(self):
         rng = random.Random(5)
@@ -522,6 +550,70 @@ class TestPeriodicOrbits:
             for k in range(7):
                 for p in {2**k, 2**k - 1} - {0}:
                     assert count_period_points(m, p) == sum(powers[p - 1].diagonal())
+
+    def test_counts_in_any_order_match_explicit_powers(self):
+        # the matrix keeps A^(p - 1) of its last count; whatever the order,
+        # and on two equal matrices counted in turn, each count is tr(A^p)
+        rng = random.Random(4242)
+        periods = list(range(1, 41))
+        shuffled = rng.sample(periods, len(periods))
+        orders = [periods, periods[::-1], shuffled, [p for p in periods for _ in range(2)], periods * 2]
+        for size in (2, 4, 6):
+            m = random_zero_one(rng, size)
+            traces = [None]
+            power = step = IntMatrix(m.entries)
+            for _ in periods:
+                traces.append(sum(power.diagonal()))
+                power = power @ step
+            for order in orders:
+                counted = ZeroOneMatrix(m.entries)
+                assert [count_period_points(counted, p) for p in order] == [traces[p] for p in order]
+            first, second = ZeroOneMatrix(m.entries), ZeroOneMatrix(m.entries)
+            for p in periods:
+                assert count_period_points(first, p) == count_period_points(second, p) == traces[p]
+
+    @pytest.mark.parametrize("last, products", [(20, 18), (23, 21)])
+    def test_consecutive_periods_take_one_product_each(self, monkeypatch, last, products):
+        # periods 1..P take P - 2 products; squaring each period from A took
+        # 57 for P = 20 and 73 for P = 23
+        m = ZeroOneMatrix.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+        calls = count_calls(monkeypatch, shifts, "_product")
+        for p in range(1, last + 1):
+            count_period_points(m, p)
+        assert len(calls) == products
+
+    def test_no_order_takes_more_products_than_squaring(self, monkeypatch):
+        # squaring each period from A, as _power_factors does, is the most a
+        # count may take, whatever period the matrix counted before
+        rng = random.Random(4343)
+        periods = list(range(1, 41))
+        orders = [periods, periods[::-1], rng.sample(periods, len(periods)), [3, 2, 3, 5, 4, 5, 6, 1, 2, 9]]
+        calls = count_calls(monkeypatch, shifts, "_product")
+        for order in orders:
+            m = random_zero_one(rng, 4)
+            for p in order:
+                del calls[:]
+                shifts._power_factors(m, p)
+                squaring = len(calls)
+                del calls[:]
+                count_period_points(m, p)
+                assert len(calls) <= squaring
+
+    def test_period_two_on_a_large_matrix_takes_no_product(self, monkeypatch):
+        rng = random.Random(4444)
+        rows = [[int(i == j or rng.random() < 0.1) for j in range(200)] for i in range(200)]
+        m = ZeroOneMatrix.from_rows(rows)
+        calls = count_calls(monkeypatch, shifts, "_product")
+        assert count_period_points(m, 2) == sum(rows[i][k] * rows[k][i] for i in range(200) for k in range(200))
+        assert calls == []
+
+    def test_counting_keeps_equality_hash_and_repr(self):
+        m, fresh = ZeroOneMatrix.from_rows([[1, 1], [1, 0]]), ZeroOneMatrix.from_rows([[1, 1], [1, 0]])
+        before = (hash(m), repr(m))
+        for p in range(1, 8):
+            count_period_points(m, p)
+        assert m == fresh and fresh == m and len({m, fresh}) == 1
+        assert (hash(m), repr(m)) == before == (hash(fresh), repr(fresh))
 
     def test_trace_equals_weighted_orbit_count(self):
         rng = random.Random(23)
