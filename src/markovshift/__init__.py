@@ -8,6 +8,8 @@ matrix, and decides positivity of ordered-cohomology classes through
 periodic orbits.
 """
 
+from types import ModuleType as _ModuleType
+
 from .cohomology import (
     LocallyConstantFn,
     PositivityResult,
@@ -59,5 +61,5 @@ from .shifts import (
     validate,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]
 __version__ = "0.1.0"

@@ -132,20 +132,17 @@ def _load(path, check) -> tuple:
 def _cmd_validate(args) -> tuple[dict, int]:
     rows = read_matrix_rows(args.matrix)
     diagnostics = validate(rows)
-    report = {
-        "command": "validate",
+    return {
         "inputs": {"matrix": {"path": str(args.matrix), "size": len(rows), "rows": rows}},
         "classifiable": diagnostics.classifiable,
         "issues": [{"code": i.code, "message": i.message} for i in diagnostics.issues],
-    }
-    return report, EXIT_OK if diagnostics.classifiable else EXIT_NEGATIVE
+    }, EXIT_OK if diagnostics.classifiable else EXIT_NEGATIVE
 
 
 def _cmd_invariant(args) -> tuple[dict, int]:
     inv, echo = _load(args.matrix, invariant_triple)
     abelianized = full_group_abelianization(inv)
-    report = {
-        "command": "invariant",
+    return {
         "inputs": {"matrix": echo},
         "convention": _CONVENTION,
         "invariant": inv.summary(),
@@ -158,8 +155,7 @@ def _cmd_invariant(args) -> tuple[dict, int]:
             "k1_rank": inv.k1_rank,
         },
         "full_group_abelianization": abelianized.describe(),
-    }
-    return report, EXIT_OK
+    }, EXIT_OK
 
 
 def _cmd_decide(args) -> tuple[dict, int]:
@@ -167,15 +163,13 @@ def _cmd_decide(args) -> tuple[dict, int]:
     left, echo_a = _load(args.matrix_a, invariant_triple)
     right, echo_b = _load(args.matrix_b, invariant_triple)
     outcome = args.decide(left, right)
-    report = {
-        "command": args.subcommand,
+    return {
         "inputs": {"matrix_a": echo_a, "matrix_b": echo_b},
         "convention": _CONVENTION,
         "equivalent": outcome.equivalent,
         "reason": outcome.reason,
         "certificate": outcome.certificate(),
-    }
-    return report, EXIT_OK if outcome.equivalent else EXIT_NEGATIVE
+    }, EXIT_OK if outcome.equivalent else EXIT_NEGATIVE
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -202,8 +196,7 @@ def _cmd_realize(args) -> tuple[dict, int]:
     matrix, plan = realize(group, point, args.sign)
     if args.output:
         write_matrix_file(args.output, matrix)
-    report = {
-        "command": "realize",
+    return {
         "triple": {
             "group": group.describe(),
             "free_rank": group.free_rank,
@@ -221,8 +214,7 @@ def _cmd_realize(args) -> tuple[dict, int]:
         },
         "verification": {"matched": True, "invariant": plan.invariant.summary()},
         "output": str(args.output) if args.output else None,
-    }
-    return report, EXIT_OK
+    }, EXIT_OK
 
 
 def _cmd_positivity(args) -> tuple[dict, int]:
@@ -233,8 +225,7 @@ def _cmd_positivity(args) -> tuple[dict, int]:
         raise _InvalidInput(f"{args.function}: {exc}") from None
     result = is_positive_class(matrix, fn)
     words = sorted(fn.values)
-    report = {
-        "command": "positivity",
+    return {
         "inputs": {
             "matrix": echo,
             "function": {
@@ -245,8 +236,7 @@ def _cmd_positivity(args) -> tuple[dict, int]:
         },
         "positive": result.positive,
         "witness": format_words([result.witness], matrix.size)[0] if result.witness else None,
-    }
-    return report, EXIT_OK if result.positive else EXIT_NEGATIVE
+    }, EXIT_OK if result.positive else EXIT_NEGATIVE
 
 
 def _cmd_periodic(args) -> tuple[dict, int]:
@@ -279,15 +269,9 @@ def _cmd_periodic(args) -> tuple[dict, int]:
                 "crosscheck_ok": fixed == sum(d * k for d, k in dividing),
             }
         )
-    report = {
-        "command": "periodic",
-        "inputs": {"matrix": echo},
-        "max_period": args.period,
-        "periods": periods,
-    }
     if not all(p["crosscheck_ok"] for p in periods):
         raise VerificationError("periodic-point counts failed their trace cross-check")
-    return report, EXIT_OK
+    return {"inputs": {"matrix": echo}, "max_period": args.period, "periods": periods}, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -398,13 +382,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _render(report: dict, args, started: float) -> str:
-    """The report as JSON or text, with the elapsed time when --timing was given.
+def _render(body: dict, args, started: float) -> str:
+    """The command's name then body, as JSON or text, with the elapsed time when --timing was given.
 
     Integers of any size print: Python's limit on the digits str() writes
     (4,300 by default) is lifted while the report renders, and restored
     after, so input parsing keeps it.
     """
+    report = {"command": args.subcommand, **body}
     if args.timing:
         report["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
     # 0 means no limit, as on interpreters before 3.10.7, which have no setting
@@ -426,8 +411,8 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         _build_parser().parse_args(argv, args)
-        report, code = args.handler(args)
-        text = _render(report, args, started)
+        body, code = args.handler(args)
+        text = _render(body, args, started)
     except Exception as exc:
         message = str(exc)
         for types, kind, code in _FAILURES:
@@ -438,7 +423,7 @@ def main(argv=None) -> int:
 
             traceback.print_exc(file=sys.stderr)
             kind, code, message = "internal_error", EXIT_ERROR, f"{type(exc).__name__}: {message}"
-        text = _render({"command": args.subcommand, "error": {"kind": kind, "message": message}}, args, started)
+        text = _render({"error": {"kind": kind, "message": message}}, args, started)
     sys.stdout.write(text + "\n")
     return code
 

@@ -45,7 +45,7 @@ def _check_ints(what: str, values: Iterable) -> None:
     float is refused, never truncated, and a bool is not read as 0 or 1.
     """
     for x in values:
-        if not isinstance(x, int) or isinstance(x, bool):
+        if not _is_int(x):
             raise ShapeError(f"{what} {x!r} is not an integer")
 
 

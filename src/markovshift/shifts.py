@@ -6,11 +6,11 @@ validation (zero rows, irreducibility, whether the shift space has
 isolated points), periodic-orbit enumeration, the edge-shift and
 out-splitting conversions of a nonnegative matrix to a 0/1 one, and
 higher-block recodings.  It is the one module that walks the transition
-graph: the admissible words of a length come from one lexicographic walk
-(``_word_walk``), and their number and the periodic-point counts from
-powers of the matrix (``_word_count``, ``count_period_points``).  A matrix
-keeps the power of its last period count, so counting periods 1, 2, 3,
-... in turn takes one product a period.
+graph, built once by ``_graph``: irreducibility, the census, the words of
+a length (one lexicographic walk), their number and the k-block graph
+all read that table.  The periodic-point counts take powers of the
+matrix, and a matrix keeps the power of its last count, so counting
+periods 1, 2, 3, ... in turn takes one product a period.
 """
 
 from __future__ import annotations
@@ -72,12 +72,8 @@ class NonNegMatrix:
             or (self.ZERO_ONE and max(map(max, entries)) > 1)
         ):
             self._check_each_entry()
-        if not all(map(any, entries)):
-            i = next(i for i, row in enumerate(entries) if not any(row))
-            raise DomainError(f"row {i + 1} is identically zero")
-        if not all(map(any, zip(*entries))):
-            j = next(j for j, col in enumerate(zip(*entries)) if not any(col))
-            raise DomainError(f"column {j + 1} is identically zero")
+        if not (all(map(any, entries)) and all(map(any, zip(*entries)))):
+            raise DomainError(next(_zero_issues(entries)).message)
 
     def _check_each_entry(self):
         """Raise for the first bad entry in row-major order.
@@ -91,9 +87,7 @@ class NonNegMatrix:
                 if x < 0:
                     raise DomainError(f"negative entry {_decimal(x)} in row {i + 1}")
         if self.ZERO_ONE:
-            for x in chain.from_iterable(self.entries):
-                if x > 1:
-                    raise DomainError(f"entry {_decimal(x)} is not in {{0, 1}}")
+            _check_zero_one(self.entries)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]):
@@ -111,6 +105,13 @@ class ZeroOneMatrix(NonNegMatrix):
 
     MIN_SIZE = 2
     ZERO_ONE = True
+
+
+def _check_zero_one(entries) -> None:
+    """Raise DomainError naming the first entry above 1, in row-major order."""
+    for x in chain.from_iterable(entries):
+        if x > 1:
+            raise DomainError(f"entry {_decimal(x)} is not in {{0, 1}}")
 
 
 def _check_matrix(a) -> None:
@@ -167,13 +168,24 @@ def lex_min_rotation(word) -> tuple[int, ...]:
 # structural checks
 
 
-def _adjacency(a: NonNegMatrix) -> list[list[int]]:
-    # entries are nonnegative, so a nonzero entry is exactly an edge
-    states = range(a.size)
-    return [list(compress(states, row)) for row in a.entries]
+def _graph(a: NonNegMatrix) -> tuple[list, list[list[int]]]:
+    """Each state's successors and predecessors, ascending, on the states 1..n.
+
+    A nonzero entry is a transition: a word of any nonnegative matrix is a
+    path of its 0/1 pattern (Lind and Marcus 1995, section 2.2).  Entry 0
+    of the successors is a start that every state may follow, where walks
+    and counts of words begin; entry 0 of the predecessors is empty.
+    """
+    states = range(1, a.size + 1)
+    successors = [states] + [tuple(compress(states, row)) for row in a.entries]
+    predecessors: list[list[int]] = [[] for _ in successors]
+    for s in states:
+        for t in successors[s]:
+            predecessors[t].append(s)
+    return successors, predecessors
 
 
-def _reachable(adj: list[list[int]], start: int) -> set[int]:
+def _reachable(adj, start: int) -> set[int]:
     seen = {start}
     stack = [start]
     while stack:
@@ -186,16 +198,8 @@ def _reachable(adj: list[list[int]], start: int) -> set[int]:
 
 
 def is_irreducible(a: NonNegMatrix) -> bool:
-    """True when the directed graph of the matrix is strongly connected."""
-    n = a.size
-    adj = _adjacency(a)
-    if len(_reachable(adj, 0)) != n:
-        return False
-    radj: list[list[int]] = [[] for _ in range(n)]
-    for v, outs in enumerate(adj):
-        for w in outs:
-            radj[w].append(v)
-    return len(_reachable(radj, 0)) == n
+    """True when state 1 reaches every state along ``_graph``'s successors and its predecessors."""
+    return all(len(_reachable(adj, 1)) == a.size for adj in _graph(a))
 
 
 def is_permutation_matrix(a: NonNegMatrix) -> bool:
@@ -221,6 +225,12 @@ class Diagnostics:
 _TOO_SMALL = Issue("too_small", "a 0/1 transition matrix needs at least 2 states")
 
 
+def _zero_issues(rows) -> Iterator[Issue]:
+    """An issue for each zero row of square rows, then for each zero column."""
+    for kind, lines in (("row", rows), ("column", zip(*rows))):
+        yield from (Issue(f"zero_{kind}", f"{kind} {i} is identically zero") for i, r in enumerate(lines, 1) if not any(r))
+
+
 def _row_issues(rows: tuple[tuple, ...]) -> tuple[Issue, ...]:
     """The structural issues of rows that ``NonNegMatrix`` refuses, in report order."""
     n = len(rows)
@@ -232,10 +242,7 @@ def _row_issues(rows: tuple[tuple, ...]) -> tuple[Issue, ...]:
         return (Issue("bad_entry", "entries must be integers"),)
     if min(map(min, rows)) < 0:
         return (Issue("negative_entry", "entries must be nonnegative"),)
-    issues = [Issue("zero_row", f"row {i + 1} is identically zero") for i, r in enumerate(rows) if not any(r)]
-    issues += [
-        Issue("zero_column", f"column {j + 1} is identically zero") for j, c in enumerate(zip(*rows)) if not any(c)
-    ]
+    issues = list(_zero_issues(rows))
     # what is left is a zero row or column, so a single entry is 0
     if n == 1:
         issues.append(_TOO_SMALL)
@@ -311,15 +318,12 @@ def periodic_orbit_words(a: ZeroOneMatrix, max_period: int) -> list[tuple[int, .
     """
     _check_matrix(a)
     _check_count("period bound", max_period)
-    n = a.size
-    states = range(1, n + 1)
-    successors = [()] + [tuple(compress(states, row)) for row in a.entries]
-    predecessors = [()] + [tuple(compress(states, col)) for col in zip(*a.entries)]
+    successors, predecessors = _graph(a)
     out: list[tuple[int, ...]] = []
-    for first in states:
+    for first in successors[0]:
         # steps[s]: the fewest symbols after s that close the cycle through
         # states >= first; max_period stands for "too many"
-        steps = [max_period] * (n + 1)
+        steps = [max_period] * len(successors)
         rings: list[set[int]] = []
         ring = {s for s in predecessors[first] if s >= first}
         while ring and len(rings) < max_period:
@@ -329,7 +333,7 @@ def periodic_orbit_words(a: ZeroOneMatrix, max_period: int) -> list[tuple[int, .
             ring = {s for t in ring for s in predecessors[t] if s >= first and steps[s] == max_period}
         if steps[first] == max_period:
             continue
-        succ = [[t for t in successors[s] if steps[t] < max_period] for s in range(n + 1)]
+        succ = [[t for t in ts if steps[t] < max_period] for ts in successors]
         if not steps[first]:
             out.append((first,))
         layer = [((first,), 1)]
@@ -412,28 +416,33 @@ def count_period_points(a: NonNegMatrix, p: int) -> int:
     return sum(sum(map(mul, row, col)) for row, col in zip(power, zip(*square)))
 
 
-def _word_count(a: ZeroOneMatrix, k: int) -> int:
-    """The number of admissible k-words: the entry sum of A^(k - 1), the paths of k - 1 steps.
+def _word_count(a: NonNegMatrix, k: int) -> int:
+    """The number of admissible k-words, the words ``_word_walk`` lists: paths of k - 1 steps.
 
-    Stepping a vector of path counts once per symbol costs an addition per
-    transition a step; repeated squaring (``_power_factors``) costs n^3
-    multiplications a bit of k - 1 and leaves A^(k - 1) as X Y, whose
-    entry sum is the column sums of X times the row sums of Y.  The count
-    takes whichever costs fewer operations, so a wide window over a few
-    states costs time logarithmic in it, and a narrow one over many sparse
-    states builds no n x n product.
+    Stepping a vector of path counts over ``_graph``'s successors costs an
+    addition per transition a step; squaring the graph's 0/1 pattern costs
+    n^3 multiplications a bit of k - 1.  The count takes whichever costs
+    fewer operations, so a wide window over a few states costs time
+    logarithmic in it, and a narrow one over many sparse states builds no
+    n x n product.
     """
-    adj = _adjacency(a)
+    successors = _graph(a)[0]
     steps = k - 1
-    if a.size**3 * steps.bit_length() < steps * sum(map(len, adj)):
-        # steps exceeds n here, so power is a matrix, not None
-        power, square = _power_factors(a, steps)
-        return sum(map(mul, map(sum, zip(*power)), map(sum, square)))
-    # paths[s]: the admissible words of the length reached so far that start at state s
-    paths = [1] * a.size
-    for _ in range(steps):
-        paths = [sum(map(paths.__getitem__, row)) for row in adj]
-    return sum(paths)
+    if a.size**3 * steps.bit_length() < steps * (sum(map(len, successors)) - a.size):
+        # steps exceeds n here, so it is at least 2
+        return _paths_by_squaring(a, steps)
+    # paths[s]: the words of the length reached so far that may follow s, any state at entry 0
+    paths = [1] * len(successors)
+    for _ in range(k):
+        paths = [sum(map(paths.__getitem__, succ)) for succ in successors]
+    return paths[0]
+
+
+def _paths_by_squaring(a: NonNegMatrix, steps: int) -> int:
+    """The entry sum of P^steps, P the 0/1 pattern of a, for steps >= 2: X's column sums times Y's row sums."""
+    pattern = NonNegMatrix._built(tuple(tuple(int(x > 0) for x in row) for row in a.entries))
+    power, square = _power_factors(pattern, steps)
+    return sum(map(mul, map(sum, zip(*power)), map(sum, square)))
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +536,7 @@ def column_amalgamation(a: NonNegMatrix) -> NonNegMatrix:
     return NonNegMatrix._built(tuple(zip(*columns)))
 
 
-def _word_walk(a: ZeroOneMatrix, k: int) -> Iterator[tuple[int, ...]]:
+def _word_walk(a: NonNegMatrix, k: int) -> Iterator[tuple[int, ...]]:
     """The admissible k-words, for k >= 1, in lexicographic order, one at a time.
 
     A depth-first walk over the first k - 2 symbols that keeps one prefix
@@ -538,12 +547,11 @@ def _word_walk(a: ZeroOneMatrix, k: int) -> Iterator[tuple[int, ...]]:
     block of at most d^2 words, d the largest number of successors of a
     state, however many words it passes.
     """
-    states = range(1, a.size + 1)
+    successors = _graph(a)[0]
     if k == 1:
-        yield from ((s,) for s in states)
+        yield from ((s,) for s in successors[0])
         return
-    # the walk starts at a symbol 0 that every state may follow, left out of the words
-    successors = [states] + [tuple(compress(states, row)) for row in a.entries]
+    # the walk starts at entry 0 of the successors, left out of the words
     word: list[int] = []
     branches = [iter((0,))]
     while branches:
@@ -576,7 +584,7 @@ def block_graph(a: ZeroOneMatrix, k: int) -> tuple[list[tuple[int, ...]], list[l
     ascending indices into the word list.
     """
     if k == 1:
-        return [(s,) for s in range(1, a.size + 1)], _adjacency(a)
+        return [(s,) for s in range(1, a.size + 1)], [[t - 1 for t in ts] for ts in _graph(a)[0][1:]]
     words = admissible_words(a, k)
     # indices are appended in word order, so each successor list ascends
     by_prefix: dict[tuple[int, ...], list[int]] = {}
@@ -589,13 +597,17 @@ def higher_block(a: ZeroOneMatrix, k: int) -> ZeroOneMatrix:
     """Recode on overlapping k-blocks; k = 1 returns the matrix itself.
 
     States are the admissible k-words in lexicographic order, with the
-    transitions of their k-block graph (`block_graph`).  For k >= 2 the
-    result passes the checks unrun: a word w is followed by w[1:] and an
-    edge out of its last symbol, and follows an edge into its first symbol
-    and w[:-1].  For k = 1 a nonnegative matrix is checked to be 0/1.
+    transitions of their k-block graph (`block_graph`).  An entry above 1
+    is refused at every k before any word is listed: the words are those
+    of the 0/1 pattern, whose recoding is not conjugate to the edge shift.
+    For k >= 2 the result passes the checks unrun: a word w is followed by
+    w[1:] and an edge out of its last symbol, and follows an edge into its
+    first symbol and w[:-1].  At k = 1 the result is typed ``ZeroOneMatrix``.
     """
     _check_matrix(a)
     _check_count("word length", k)
+    if not isinstance(a, ZeroOneMatrix):
+        _check_zero_one(a.entries)
     if k == 1:
         return a if isinstance(a, ZeroOneMatrix) else ZeroOneMatrix(a.entries)
     words, successors = block_graph(a, k)

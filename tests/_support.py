@@ -205,6 +205,42 @@ def random_out_split(rng: random.Random, a: NonNegMatrix) -> NonNegMatrix:
     return NonNegMatrix.from_rows(r + [r[s]] for r in rows)
 
 
+def in_split(rng: random.Random, rows: list[list[int]]) -> None:
+    """Split a state v of 0/1 rows in place: a new last state v' takes some of v's incoming edges.
+
+    v is drawn until its column has two 1s or more: rows with more 1s than
+    states have one, and both moves keep that.  v' keeps v's row, so a
+    self-loop at v goes out of both copies, to the copy that received it.
+    An in-split is a conjugacy of the two-sided shift (Lind and Marcus
+    1995, section 2.4): it keeps the group and det(id - A), not always the
+    point.
+    """
+    into: list[int] = []
+    while len(into) < 2:
+        v = rng.randrange(len(rows))
+        into = [u for u, row in enumerate(rows) if row[v]]
+    for row in rows:
+        row.append(0)
+    for u in rng.sample(into, rng.randint(1, len(into) - 1)):
+        rows[u][v], rows[u][-1] = 0, 1
+    rows.append(list(rows[v]))
+
+
+def symbol_expansion(rng: random.Random, rows: list[list[int]]) -> None:
+    """Expand a state v of 0/1 rows in place into the path v -> v', v' a new last state.
+
+    Row v becomes the one edge v -> v', and v' takes v's old row.  A symbol
+    expansion is a flow equivalence (Parry and Sullivan 1975): it keeps the
+    group and det(id - A), not always the point.
+    """
+    v = rng.randrange(len(rows))
+    for row in rows:
+        row.append(0)
+    rows.append(rows[v])
+    rows[v] = [0] * len(rows)
+    rows[v][-1] = 1
+
+
 def presentation_by_smith_form(m: IntMatrix, v: Sequence[int]) -> tuple[FgAbelianGroup, GroupElement, int]:
     """Oracle for ``from_presentation``: one Smith form of all of m.
 

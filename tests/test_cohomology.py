@@ -12,6 +12,7 @@ from markovshift import (
     DomainError,
     InadmissibleWordError,
     LocallyConstantFn,
+    NonNegMatrix,
     PreconditionError,
     ShapeError,
     VerificationError,
@@ -37,10 +38,13 @@ from _support import (
     naive_orbit_sum,
     negative_cycle_full_rounds,
     pairs_allowed,
+    random_nonneg,
     random_zero_one,
 )
 
 FULL2 = ZeroOneMatrix.from_rows([[1, 1], [1, 1]])
+# its words are those of its 0/1 pattern, the full 2-shift: 2^k of width k
+DOUBLED = NonNegMatrix([[2, 1], [1, 1]])
 SIGN_FN = LocallyConstantFn.over(FULL2, 1, {(1,): 1, (2,): -1})
 
 
@@ -172,6 +176,23 @@ class TestLocallyConstantFn:
             for k in range(1, 6):
                 assert shifts._word_count(m, k) == len(admissible_words(m, k))
         assert len(squarings) > 1000
+
+    def test_word_count_of_a_nonnegative_matrix_counts_its_walks(self, monkeypatch):
+        # an entry above 1 is one transition, for the count as for the walk;
+        # the squaring side, forced, squares the same 0/1 pattern
+        squarings = count_calls(monkeypatch, shifts, "_power_factors")
+        rng = random.Random(31)
+        for _ in range(40):
+            m = random_nonneg(rng, rng.randint(1, 3), 3)
+            for k in range(1, 13):
+                words = len(admissible_words(m, k))
+                assert shifts._word_count(m, k) == words
+                if k >= 3:
+                    assert shifts._paths_by_squaring(m, k - 1) == words
+        # 400 forced, and the rest where the rule picks the squaring side
+        assert len(squarings) > 500
+        assert shifts._word_count(DOUBLED, 8) == 256
+        assert shifts._word_count(DOUBLED, 40) == shifts._paths_by_squaring(DOUBLED, 39) == 2**40
 
     def test_a_narrow_window_over_many_states_builds_no_product(self, monkeypatch):
         # a product of two 1,023 x 1,023 matrices takes most of a minute,
@@ -436,6 +457,22 @@ class TestIsPositiveClass:
         assert not result.positive
         assert result.witness == (2,)
         assert orbit_sum(FULL2, SIGN_FN, result.witness) == -1
+
+    def test_agrees_with_over_on_a_nonnegative_matrix(self):
+        # a complete window-8 table over DOUBLED is accepted by both, and
+        # one missing a word is refused by both
+        words = admissible_words(DOUBLED, 8)
+        table = dict.fromkeys(words, 1)
+        assert is_positive_class(DOUBLED, LocallyConstantFn.over(DOUBLED, 8, table)).positive
+        table[(2,) * 8] = -1
+        result = is_positive_class(DOUBLED, LocallyConstantFn.over(DOUBLED, 8, table))
+        assert not result.positive
+        assert result.witness == (2,)
+        del table[words[0]]
+        with pytest.raises(DomainError, match="missing 1 admissible words"):
+            LocallyConstantFn.over(DOUBLED, 8, table)
+        with pytest.raises(DomainError, match="does not match the admissible words"):
+            is_positive_class(DOUBLED, LocallyConstantFn(8, table))
 
     def test_requires_irreducible(self):
         reducible = [[1, 1], [0, 1]]

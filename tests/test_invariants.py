@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -37,6 +38,7 @@ from _support import (
     count_calls,
     elements,
     identity_minus,
+    in_split,
     int_matrix,
     invariant_unmerged,
     kernel_basis,
@@ -44,6 +46,7 @@ from _support import (
     random_nonneg,
     random_out_split,
     random_zero_one,
+    symbol_expansion,
 )
 
 FULL2 = ZeroOneMatrix.from_rows([[1, 1], [1, 1]])
@@ -360,6 +363,70 @@ class TestDecisions:
         assert cert["left"]["determinant"] == -1
         assert cert["right"]["group"] == "Z/2"
         assert cert["checks"]["groups_isomorphic"] is False
+
+
+def grown_chain(seed: int, targets: tuple[int, ...], move) -> tuple[ZeroOneMatrix, list]:
+    """A dense 5-state seed drawn from random.Random(seed), and its chain of moves at each target size."""
+    rng = random.Random(seed)
+    first = random_zero_one(rng, 5, 0.7)
+    rows = [list(row) for row in first.entries]
+    grown = []
+    for target in targets:
+        while len(rows) < target:
+            move(rng, rows)
+        grown.append(ZeroOneMatrix(rows))
+    return first, grown
+
+
+def flow_move(rng: random.Random, rows: list[list[int]]) -> None:
+    """An in-split with probability 0.6, otherwise a symbol expansion."""
+    (in_split if rng.random() < 0.6 else symbol_expansion)(rng, rows)
+
+
+def out_split_move(rng: random.Random, rows: list[list[int]]) -> None:
+    rows[:] = map(list, random_out_split(rng, NonNegMatrix(rows)).entries)
+
+
+# seeds and targets fixed before any timing; a slow chain is never re-drawn
+CHAIN_SEEDS = range(1001, 1005)
+
+
+class TestKnownAnswersAtScale:
+    """Chains of moves whose invariant is known from a 5-state seed's.
+
+    In-splits and symbol expansions generate flow equivalence with
+    conjugacy (Parry and Sullivan 1975), and keep the group and det(id - A);
+    out-splits are one-sided conjugacies, so they keep the point too.  The
+    seed's invariant comes from one Smith form of the seed
+    (``invariant_unmerged``), so the chains check ``invariant_triple`` at
+    200 and 400 states against a computation that shares none of its
+    elimination.
+    """
+
+    def test_flow_move_chains_keep_the_group_and_determinant(self):
+        chains = [grown_chain(seed, (200, 400), flow_move) for seed in CHAIN_SEEDS]
+        # these invariants and decisions took 0.17-0.20 s in all when the bound was set (CPython 3.11, x86-64)
+        started = time.perf_counter()
+        groups = []
+        for first, grown in chains:
+            known = invariant_unmerged(first)
+            groups.append(known.group.describe())
+            for m in grown:
+                inv = invariant_triple(m)
+                assert (inv.group, inv.det_value) == (known.group, known.det_value)
+                assert decide_flow(known, inv).equivalent
+        assert time.perf_counter() - started < 2.5
+        assert groups == ["Z/3", "Z", "Z/6", "Z/4"]
+
+    def test_out_split_chains_keep_the_point(self):
+        chains = [grown_chain(seed, (50, 100), out_split_move) for seed in CHAIN_SEEDS]
+        # these decisions took 0.008 s in all when the bound was set (CPython 3.11, x86-64)
+        started = time.perf_counter()
+        for first, grown in chains:
+            known = invariant_unmerged(first)
+            for m in grown:
+                assert decide_coe(known, m).equivalent
+        assert time.perf_counter() - started < 1.0
 
 
 class TestKGroups:

@@ -238,6 +238,24 @@ class TestIrreducibility:
     def test_golden_mean(self):
         assert is_irreducible(GOLDEN)
 
+    def test_matches_reachability_by_matrix_powers(self):
+        # entries up to 2, reducible draws kept: the graph is strongly
+        # connected exactly when (id + P)^n has no zero entry, P the 0/1 pattern
+        rng = random.Random(2031)
+        seen = Counter()
+        while len(seen) < 2 or min(seen.values()) < 100:
+            n = rng.randint(1, 6)
+            rows = [[rng.choice((0, 0, 1, 2)) for _ in range(n)] for _ in range(n)]
+            if not all(map(any, rows)) or not all(map(any, zip(*rows))):
+                continue
+            reach = [[i == j or x > 0 for j, x in enumerate(row)] for i, row in enumerate(rows)]
+            power = reach
+            for _ in range(n - 1):
+                power = [[any(p and r[j] for p, r in zip(row, reach)) for j in range(n)] for row in power]
+            connected = all(map(all, power))
+            assert is_irreducible(NonNegMatrix(rows)) == connected
+            seen[connected] += 1
+
 
 class TestConditionI:
     def test_full_shift(self):
@@ -768,6 +786,18 @@ class TestColumnAmalgamation:
 class TestHigherBlock:
     def test_window_one_is_identity_recoding(self):
         assert higher_block(FULL2, 1).entries == FULL2.entries
+
+    def test_an_entry_above_one_is_refused_at_every_window(self, monkeypatch):
+        # the words of such a matrix are those of its 0/1 pattern, so no
+        # window recodes it; the refusal names the first such entry, and no
+        # word is listed
+        walks = count_calls(monkeypatch, shifts, "_word_walk")
+        for rows, entry in (([[2, 1], [1, 1]], 2), ([[1, 3], [2, 1]], 3), ([[2]], 2)):
+            for k in (1, 2, 3):
+                with pytest.raises(DomainError, match=rf"^entry {entry} is not in \{{0, 1\}}$"):
+                    higher_block(NonNegMatrix(rows), k)
+        assert walks == []
+        assert higher_block(NonNegMatrix([[1, 1], [1, 0]]), 2) == higher_block(GOLDEN, 2)
 
     def test_full_shift_two_blocks(self):
         out = higher_block(FULL2, 2)
